@@ -1694,30 +1694,27 @@ mod tests {
         let db = VulnDb::builtin();
         let accum = StudyAccum::over(data, &db);
         let artifacts = accum.finish(&db);
-        #[allow(deprecated)]
-        {
-            assert_eq!(
-                format!("{:?}", artifacts.table1),
-                format!("{:?}", crate::landscape::table1(data, &db))
-            );
-            assert_eq!(
-                format!("{:?}", artifacts.trends),
-                format!("{:?}", crate::landscape::usage_trends(data))
-            );
-            assert_eq!(
-                format!("{:?}", artifacts.collection),
-                format!("{:?}", crate::resources::collection_series(data))
-            );
-            let impacts: Vec<CveImpact> = db
-                .records()
-                .iter()
-                .filter_map(|r| crate::vuln::cve_impact(data, &db, &r.id))
-                .collect();
-            assert_eq!(
-                format!("{:?}", artifacts.cve_impacts),
-                format!("{:?}", impacts)
-            );
-        }
+        assert_eq!(
+            format!("{:?}", artifacts.table1),
+            format!("{:?}", crate::landscape::table1(data, &db))
+        );
+        assert_eq!(
+            format!("{:?}", artifacts.trends),
+            format!("{:?}", crate::landscape::usage_trends(data))
+        );
+        assert_eq!(
+            format!("{:?}", artifacts.collection),
+            format!("{:?}", crate::resources::collection_series(data))
+        );
+        let impacts: Vec<CveImpact> = db
+            .records()
+            .iter()
+            .filter_map(|r| crate::vuln::cve_impact(data, &db, &r.id))
+            .collect();
+        assert_eq!(
+            format!("{:?}", artifacts.cve_impacts),
+            format!("{:?}", impacts)
+        );
         assert_eq!(
             format!("{:?}", artifacts.resources),
             format!("{:?}", crate::resources::resource_usage(data))

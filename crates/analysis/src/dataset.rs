@@ -5,7 +5,6 @@
 use crate::store_io::{self, CheckpointOutcome, StoreError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use webvuln_cvedb::Date;
 use webvuln_exec::{Executor, SuperviseConfig};
@@ -88,7 +87,7 @@ pub struct CollectConfig {
     /// Shard count for the checkpoint store (default 1 — a single
     /// `.wvstore` file). With 2 or more, the checkpoint path is a
     /// directory of domain-hash shard files committed in parallel under
-    /// one manifest epoch. No effect without a checkpoint store.
+    /// one manifest epoch.
     pub shards: usize,
 }
 
@@ -113,6 +112,14 @@ impl Default for CollectConfig {
 /// Wappalyzer-style fingerprinting, and the trailing-month
 /// inaccessibility filter.
 ///
+/// Every crawled week is committed to the [`checkpoint`](Collector::checkpoint)
+/// store and then dropped, so peak memory is one in-flight week plus the
+/// trailing-month fetch summaries the §4.1 filter needs — never the
+/// whole timeline. Analyze the store afterwards with
+/// [`fold_study`](crate::accum::fold_study), stream it with
+/// [`WeekStream`](webvuln_store::WeekStream), or materialize it with
+/// [`Dataset::load_store`].
+///
 /// ```no_run
 /// # use std::sync::Arc;
 /// # use webvuln_analysis::dataset::Collector;
@@ -121,9 +128,10 @@ impl Default for CollectConfig {
 /// let outcome = Collector::new()
 ///     .threads(8)
 ///     .carry_forward(true)
+///     .checkpoint("study.wvstore")
 ///     .run(&eco)
 ///     .expect("collection");
-/// println!("{} weeks", outcome.dataset.week_count());
+/// println!("{} weeks crawled", outcome.weeks_crawled);
 /// ```
 #[derive(Clone)]
 pub struct Collector<'a> {
@@ -131,7 +139,6 @@ pub struct Collector<'a> {
     telemetry: Option<&'a Telemetry>,
     store: Option<PathBuf>,
     resume: bool,
-    streaming: bool,
 }
 
 impl Default for Collector<'_> {
@@ -141,8 +148,10 @@ impl Default for Collector<'_> {
 }
 
 impl<'a> Collector<'a> {
-    /// A fault-free, single-attempt, non-checkpointed collection on the
-    /// default 8-thread pool, accounting to the global telemetry.
+    /// A fault-free, single-attempt collection on the default 8-thread
+    /// pool, accounting to the global telemetry. Set a
+    /// [`checkpoint`](Collector::checkpoint) store before
+    /// [`run`](Collector::run).
     pub fn new() -> Collector<'a> {
         Collector::from_config(CollectConfig::default())
     }
@@ -154,7 +163,6 @@ impl<'a> Collector<'a> {
             telemetry: None,
             store: None,
             resume: false,
-            streaming: false,
         }
     }
 
@@ -211,7 +219,7 @@ impl<'a> Collector<'a> {
     }
 
     /// Commits every crawled week to the snapshot store at `path` as it
-    /// completes.
+    /// completes. Required: [`run`](Collector::run) fails without one.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
         self
@@ -233,31 +241,24 @@ impl<'a> Collector<'a> {
         self
     }
 
-    /// Streaming collection: each crawled week is committed to the
-    /// [`checkpoint`](Collector::checkpoint) store and then dropped, so
-    /// peak memory is one in-flight week plus the trailing-month fetch
-    /// summaries the §4.1 filter needs — never the whole timeline. The
-    /// store file is byte-identical to a materialized run's and the
-    /// filter verdict is computed from the same rule; the returned
-    /// [`CheckpointOutcome::dataset`] is a thin shell (timeline, ranks,
-    /// `filtered_out` — no weeks). Analyze the store afterwards with
-    /// [`fold_study`](crate::accum::fold_study) or stream it with
-    /// [`WeekStream`](webvuln_store::WeekStream). Requires a checkpoint
-    /// store; [`run`](Collector::run) rejects the combination otherwise.
-    pub fn streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
     /// The accumulated [`CollectConfig`] (builder round-trip).
     pub fn config(&self) -> CollectConfig {
         self.config
     }
 
-    /// Collects the dataset. Only the checkpointed path can fail; a
-    /// collection without [`checkpoint`](Collector::checkpoint) always
-    /// returns `Ok` with every week freshly crawled.
+    /// Collects the dataset into the [`checkpoint`](Collector::checkpoint)
+    /// store. Fails with [`StoreError::Mismatch`] when no store was set,
+    /// on a store error, or under [`supervise`](Collector::supervise) when
+    /// quarantined tasks exceed the failure budget.
     pub fn run(&self, ecosystem: &Arc<Ecosystem>) -> Result<CheckpointOutcome, StoreError> {
+        let Some(path) = &self.store else {
+            return Err(StoreError::Mismatch(
+                "collection needs a checkpoint store: each week is committed and \
+                 dropped, so without a store there would be nowhere to read the \
+                 snapshots back from"
+                    .to_string(),
+            ));
+        };
         let fallback;
         let telemetry = match self.telemetry {
             Some(telemetry) => telemetry,
@@ -266,135 +267,13 @@ impl<'a> Collector<'a> {
                 &fallback
             }
         };
-        match &self.store {
-            Some(path) => crate::store_io::collect_checkpointed(
-                ecosystem,
-                self.config,
-                telemetry,
-                path,
-                self.resume,
-                self.streaming,
-            ),
-            None => {
-                if self.streaming {
-                    return Err(StoreError::Mismatch(
-                        "streaming collection needs a checkpoint store: each week is \
-                         committed and dropped, so without a store there would be \
-                         nowhere to read the snapshots back from"
-                            .to_string(),
-                    ));
-                }
-                let dataset = collect_plain(ecosystem, self.config, telemetry)?;
-                let weeks_crawled = dataset.week_count();
-                Ok(CheckpointOutcome {
-                    dataset,
-                    weeks_crawled,
-                    weeks_recovered: 0,
-                    torn_bytes_recovered: 0,
-                })
-            }
-        }
+        store_io::collect_checkpointed(ecosystem, self.config, telemetry, path, self.resume)
     }
 }
 
-/// Crawls every week of `ecosystem` and fingerprints the results.
-#[deprecated(note = "use `Collector::new().run(ecosystem)`")]
-pub fn collect_dataset(ecosystem: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
-    Collector::from_config(config)
-        .run(ecosystem)
-        .expect("plain collection fails only on an exceeded failure budget")
-        .dataset
-}
-
-/// Like [`collect_dataset`], recording crawl/fingerprint metrics, per-week
-/// phase spans, and weekly progress events into `telemetry`.
-#[deprecated(note = "use `Collector::new().telemetry(telemetry).run(ecosystem)`")]
-pub fn collect_dataset_with(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-) -> Dataset {
-    Collector::from_config(config)
-        .telemetry(telemetry)
-        .run(ecosystem)
-        .expect("plain collection fails only on an exceeded failure budget")
-        .dataset
-}
-
-/// The non-checkpointed collection loop behind [`Collector::run`].
-///
-/// When weeks share no cross-week state (no circuit breakers, no
-/// carry-forward), they are independent crawls of independent snapshots:
-/// the loop fans whole weeks out across the worker pool (each week then
-/// crawling single-threaded so the pool is not oversubscribed) and
-/// merges in week order. Otherwise weeks run sequentially and the
-/// parallelism lives inside each week's crawl and fingerprint phases.
-/// Both paths produce byte-identical datasets.
-///
-/// Fails only under [`CollectConfig::supervise`], when quarantined tasks
-/// exceed the failure budget — checked after each week sequentially, or
-/// once after the fan-out on the parallel-week path.
-fn collect_plain(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-) -> Result<Dataset, StoreError> {
-    let timeline = *ecosystem.timeline();
-    let week_list: Vec<(usize, Date)> = timeline.iter().collect();
-    let weeks_independent = config.breaker.is_none() && !config.carry_forward;
-    let collector = WeekCollector::new(ecosystem, config, telemetry);
-
-    let weeks: Vec<WeekSnapshot> = if weeks_independent && config.concurrency != 1 {
-        let executor = Executor::new(config.concurrency);
-        let (weeks, stats) = executor.map_with_stats(&week_list, |&(week, date)| {
-            collector.collect_week_independent(week, date, telemetry)
-        });
-        record_exec_stats(telemetry.registry(), &stats);
-        collector.check_failure_budget()?;
-        for snapshot in &weeks {
-            telemetry.emit(
-                "crawl",
-                snapshot.week as u64 + 1,
-                timeline.weeks as u64,
-                &format!("{}: {} pages", snapshot.date, snapshot.collected()),
-            );
-        }
-        weeks
-    } else {
-        let mut collector = collector;
-        let mut weeks = Vec::with_capacity(week_list.len());
-        for &(week, date) in &week_list {
-            let snapshot = collector.collect_week(week, date, telemetry);
-            collector.check_failure_budget()?;
-            telemetry.emit(
-                "crawl",
-                week as u64 + 1,
-                timeline.weeks as u64,
-                &format!("{date}: {} pages", snapshot.collected()),
-            );
-            weeks.push(snapshot);
-        }
-        weeks
-    };
-
-    let ranks = ecosystem
-        .domain_names()
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i + 1))
-        .collect();
-    let mut dataset = Dataset {
-        timeline,
-        ranks,
-        weeks,
-        filtered_out: Vec::new(),
-    };
-    dataset.apply_inaccessibility_filter();
-    Ok(dataset)
-}
-
-/// The stateful per-week collector shared by [`collect_dataset_with`] and
-/// the checkpointed collector in [`crate::store_io`].
+/// The stateful per-week collector shared by the reference
+/// [`Dataset::collect`] and the checkpointed collector in
+/// [`crate::store_io`].
 ///
 /// Week-to-week state lives here: per-host circuit breakers, the virtual
 /// backoff clock, and each domain's last usable fingerprint (the
@@ -413,10 +292,8 @@ pub(crate) struct WeekCollector {
     clock: VirtualClock,
     last_usable: BTreeMap<String, PageAnalysis>,
     carry_forward: Counter,
-    /// Tasks quarantined under supervision (crawl + fingerprint),
-    /// accumulated atomically so the parallel-week path can count
-    /// through `&self`.
-    task_failures: AtomicU64,
+    /// Tasks quarantined under supervision (crawl + fingerprint).
+    task_failures: u64,
 }
 
 impl WeekCollector {
@@ -435,13 +312,8 @@ impl WeekCollector {
             clock: VirtualClock::new(),
             last_usable: BTreeMap::new(),
             carry_forward: telemetry.registry().counter("net.carry_forward_total"),
-            task_failures: AtomicU64::new(0),
+            task_failures: 0,
         }
-    }
-
-    /// Tasks quarantined so far across all supervised phases.
-    pub(crate) fn task_failures(&self) -> u64 {
-        self.task_failures.load(Ordering::Relaxed)
     }
 
     /// Fails the run once quarantined tasks outnumber the supervision
@@ -451,7 +323,7 @@ impl WeekCollector {
         let Some(supervise) = self.config.supervise else {
             return Ok(());
         };
-        let failures = self.task_failures();
+        let failures = self.task_failures;
         if failures > supervise.max_failures {
             return Err(StoreError::FailureBudgetExceeded {
                 failures,
@@ -461,17 +333,11 @@ impl WeekCollector {
         Ok(())
     }
 
-    /// Crawls one week's domain list on `threads` workers.
-    fn fetch_week(
-        &self,
-        week: usize,
-        threads: usize,
-        telemetry: &Telemetry,
-    ) -> BTreeMap<String, FetchRecord> {
-        // Trace scopes stamp every fetch event below with (phase, week);
-        // they reset the task field so the week summary emitted at the
-        // end has identical canonical keys on the sequential and
-        // parallel-week paths.
+    /// Crawls one week's domain list on the configured worker threads.
+    fn fetch_week(&mut self, week: usize, telemetry: &Telemetry) -> BTreeMap<String, FetchRecord> {
+        // Trace scopes stamp every fetch event below with (phase, week)
+        // and reset the task field, so the week summary emitted at the
+        // end has the same canonical keys at every thread count.
         let _trace_phase = webvuln_trace::phase_scope("crawl");
         let _trace_week = webvuln_trace::week_scope(week as u64);
         let _ = webvuln_failpoint::hit("phase.crawl", &week.to_string());
@@ -482,7 +348,7 @@ impl WeekCollector {
             .with_faults(self.config.faults);
         let _span = telemetry.span("crawl");
         let mut options = CrawlOptions::new()
-            .threads(threads)
+            .threads(self.config.concurrency)
             .retry(self.config.retry)
             .clock(&self.clock)
             .registry(registry);
@@ -493,8 +359,7 @@ impl WeekCollector {
             options = options.supervise(supervise);
         }
         let (records, failures) = options.run_contained(&self.names, &net);
-        self.task_failures
-            .fetch_add(failures.len() as u64, Ordering::Relaxed);
+        self.task_failures += failures.len() as u64;
         webvuln_trace::emit(
             "crawl.week",
             "",
@@ -505,8 +370,8 @@ impl WeekCollector {
         records
     }
 
-    /// Fingerprints every usable record on `executor`, in domain order.
-    /// Returns one analysis per usable record, aligned with a filtered
+    /// Fingerprints every usable record on the worker pool, in domain
+    /// order. Returns one analysis per usable record, aligned with a filtered
     /// in-order walk of `records` — plus, under supervision, a
     /// quarantined [`FetchRecord`] for each domain whose analysis task
     /// panicked or blew its deadline. Callers substitute those records
@@ -514,10 +379,9 @@ impl WeekCollector {
     /// analyses stay aligned with the post-demotion usable walk, and the
     /// page↔summary store invariant holds).
     fn fingerprint_usable(
-        &self,
+        &mut self,
         week: usize,
         records: &BTreeMap<String, FetchRecord>,
-        executor: &Executor,
         telemetry: &Telemetry,
     ) -> (Vec<PageAnalysis>, Vec<FetchRecord>) {
         let _trace_phase = webvuln_trace::phase_scope("fingerprint");
@@ -536,16 +400,15 @@ impl WeekCollector {
             webvuln_trace::Sink::Export,
         );
         let Some(supervise) = self.config.supervise else {
-            let (analyses, stats) = self.engine.analyze_batch(&usable, executor);
+            let (analyses, stats) = self.engine.analyze_batch(&usable, &self.executor);
             record_exec_stats(telemetry.registry(), &stats);
             return (analyses, Vec::new());
         };
-        let (outcomes, stats, failures) = self
-            .engine
-            .analyze_batch_supervised(&usable, executor, supervise);
+        let (outcomes, stats, failures) =
+            self.engine
+                .analyze_batch_supervised(&usable, &self.executor, supervise);
         record_exec_stats(telemetry.registry(), &stats);
-        self.task_failures
-            .fetch_add(failures.len() as u64, Ordering::Relaxed);
+        self.task_failures += failures.len() as u64;
         let demoted = failures
             .iter()
             .map(|failure| FetchRecord::quarantined(usable[failure.index].0, failure))
@@ -561,7 +424,7 @@ impl WeekCollector {
         date: Date,
         telemetry: &Telemetry,
     ) -> WeekSnapshot {
-        let mut records = self.fetch_week(week, self.config.concurrency, telemetry);
+        let mut records = self.fetch_week(week, telemetry);
         let mut pages = BTreeMap::new();
         let mut summaries = BTreeMap::new();
         let mut carried_forward = BTreeSet::new();
@@ -569,8 +432,7 @@ impl WeekCollector {
             let _span = telemetry.span("fingerprint");
             // Parallel pass over the usable bodies, then a sequential
             // merge in domain order that advances carry-forward state.
-            let (analyses, demoted) =
-                self.fingerprint_usable(week, &records, &self.executor, telemetry);
+            let (analyses, demoted) = self.fingerprint_usable(week, &records, telemetry);
             for record in demoted {
                 records.insert(record.domain.clone(), record);
             }
@@ -608,54 +470,6 @@ impl WeekCollector {
         }
     }
 
-    /// Collects one week with no cross-week state: used by the
-    /// parallel-week fast path, where each week runs on one pool worker
-    /// (so the inner crawl and fingerprint stay single-threaded).
-    ///
-    /// Only valid when weeks are independent — no circuit breakers, no
-    /// carry-forward. Produces exactly what [`collect_week`] would for
-    /// the same week, because without those features `collect_week`
-    /// neither reads nor is affected by the state it advances.
-    pub(crate) fn collect_week_independent(
-        &self,
-        week: usize,
-        date: Date,
-        telemetry: &Telemetry,
-    ) -> WeekSnapshot {
-        debug_assert!(
-            self.breakers.is_none() && !self.config.carry_forward,
-            "parallel weeks require independent weeks"
-        );
-        let mut records = self.fetch_week(week, 1, telemetry);
-        let mut pages = BTreeMap::new();
-        let mut summaries = BTreeMap::new();
-        {
-            let _span = telemetry.span("fingerprint");
-            let (analyses, demoted) =
-                self.fingerprint_usable(week, &records, &Executor::new(1), telemetry);
-            for record in demoted {
-                records.insert(record.domain.clone(), record);
-            }
-            let mut analyses = analyses.into_iter();
-            for (domain, record) in records {
-                summaries.insert(domain.clone(), FetchSummary::from(&record));
-                if record.is_usable(EMPTY_PAGE_THRESHOLD) {
-                    pages.insert(
-                        domain,
-                        analyses.next().expect("one analysis per usable page"),
-                    );
-                }
-            }
-        }
-        WeekSnapshot {
-            week,
-            date,
-            pages,
-            summaries,
-            carried_forward: BTreeSet::new(),
-        }
-    }
-
     /// Replays a restored snapshot's outcomes into breaker and
     /// carry-forward state without crawling.
     ///
@@ -681,6 +495,49 @@ impl WeekCollector {
 }
 
 impl Dataset {
+    /// Collects the whole dataset in memory: every week crawled and
+    /// fingerprinted in order, then the §4.1 filter applied.
+    ///
+    /// The reference implementation the checkpointed
+    /// [`Collector`] is tested against; it holds the whole timeline, so
+    /// studies go through [`Collector::run`] instead. Fails only under
+    /// [`CollectConfig::supervise`], when quarantined tasks exceed the
+    /// failure budget.
+    pub fn collect(
+        ecosystem: &Arc<Ecosystem>,
+        config: CollectConfig,
+        telemetry: &Telemetry,
+    ) -> Result<Dataset, StoreError> {
+        let timeline = *ecosystem.timeline();
+        let mut collector = WeekCollector::new(ecosystem, config, telemetry);
+        let mut weeks = Vec::with_capacity(timeline.weeks);
+        for (week, date) in timeline.iter() {
+            let snapshot = collector.collect_week(week, date, telemetry);
+            collector.check_failure_budget()?;
+            telemetry.emit(
+                "crawl",
+                week as u64 + 1,
+                timeline.weeks as u64,
+                &format!("{date}: {} pages", snapshot.collected()),
+            );
+            weeks.push(snapshot);
+        }
+        let ranks = ecosystem
+            .domain_names()
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), i + 1))
+            .collect();
+        let mut dataset = Dataset {
+            timeline,
+            ranks,
+            weeks,
+            filtered_out: Vec::new(),
+        };
+        dataset.apply_inaccessibility_filter();
+        Ok(dataset)
+    }
+
     /// Applies the §4.1 filter: domains that are error/empty for the four
     /// consecutive final weeks are dropped from every snapshot.
     pub fn apply_inaccessibility_filter(&mut self) {
@@ -764,12 +621,10 @@ pub(crate) mod testkit {
     use std::sync::OnceLock;
     use webvuln_webgen::EcosystemConfig;
 
-    /// Collects a plain (non-checkpointed) dataset through the builder.
+    /// Collects the in-memory reference dataset.
     pub fn collect(ecosystem: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
-        Collector::from_config(config)
-            .run(ecosystem)
-            .expect("plain collection is infallible")
-            .dataset
+        Dataset::collect(ecosystem, config, &Telemetry::new())
+            .expect("unsupervised collection is infallible")
     }
 
     /// A small but fully featured dataset: 1,200 domains, 30 weeks
@@ -944,31 +799,6 @@ mod tests {
         assert_eq!(degraded.filtered_out, strict.filtered_out);
     }
 
-    #[test]
-    fn parallel_weeks_match_sequential_weeks() {
-        // No breakers, no carry-forward: weeks are independent, so
-        // threads(8) takes the parallel-week fast path while threads(1)
-        // runs the sequential loop. Same dataset either way, even under
-        // hostile faults with retries.
-        let make = |threads| {
-            let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
-                seed: 63,
-                domain_count: 120,
-                timeline: Timeline::truncated(6),
-            }));
-            Collector::new()
-                .threads(threads)
-                .faults(FaultPlan::hostile(63))
-                .retry(RetryPolicy::standard(2))
-                .run(&eco)
-                .expect("plain collection")
-                .dataset
-        };
-        let sequential = make(1);
-        let parallel = make(8);
-        assert_datasets_identical(&sequential, &parallel);
-    }
-
     fn assert_datasets_identical(a: &Dataset, b: &Dataset) {
         assert_eq!(a.timeline, b.timeline);
         assert_eq!(a.ranks, b.ranks);
@@ -991,31 +821,20 @@ mod tests {
             timeline: Timeline::truncated(3),
         }));
         let telemetry = Telemetry::new();
+        let path = std::env::temp_dir().join(format!(
+            "webvuln-dataset-{}-exec-metrics.wvstore",
+            std::process::id()
+        ));
         Collector::new()
             .threads(4)
             .telemetry(&telemetry)
+            .checkpoint(&path)
             .run(&eco)
-            .expect("plain collection");
+            .expect("collection");
+        let _ = std::fs::remove_file(&path);
         let snap = telemetry.snapshot();
         assert!(snap.counter("exec.tasks_total").unwrap_or(0) > 0);
         assert!(snap.histogram("exec.worker_busy_ns").is_some());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_the_builder() {
-        let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
-            seed: 65,
-            domain_count: 60,
-            timeline: Timeline::truncated(3),
-        }));
-        let config = CollectConfig::default();
-        let builder = testkit::collect(&eco, config);
-        assert_datasets_identical(&collect_dataset(&eco, config), &builder);
-        assert_datasets_identical(
-            &collect_dataset_with(&eco, config, &Telemetry::new()),
-            &builder,
-        );
     }
 
     #[test]
@@ -1046,8 +865,8 @@ mod tests {
     #[test]
     fn supervised_fault_free_collection_matches_unsupervised() {
         // Supervision must be a pure containment layer: with no panics
-        // and no deadline pressure it changes nothing, on either the
-        // sequential (carry-forward) or parallel-week path.
+        // and no deadline pressure it changes nothing, with or without
+        // carry-forward.
         let make = |supervise, carry_forward| {
             let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
                 seed: 66,

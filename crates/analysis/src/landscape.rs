@@ -67,10 +67,6 @@ pub fn is_cdn_host(host: &str) -> bool {
 ///
 /// Kept as the one-shot reference implementation; the accumulator
 /// equivalence tests pin [`crate::accum::LandscapeAccum`] against it.
-#[deprecated(
-    note = "use accum::LandscapeAccum::over(data).table1(db) or fold a store \
-                     with accum::fold_study"
-)]
 pub fn table1(data: &Dataset, db: &VulnDb) -> Vec<LibraryRow> {
     let mut rows: Vec<LibraryRow> = LibraryId::ALL
         .iter()
@@ -177,10 +173,6 @@ impl UsageTrend {
 ///
 /// Kept as the one-shot reference implementation; the accumulator
 /// equivalence tests pin [`crate::accum::LandscapeAccum`] against it.
-#[deprecated(
-    note = "use accum::LandscapeAccum::over(data).trends() or fold a store \
-                     with accum::fold_study"
-)]
 pub fn usage_trends(data: &Dataset) -> Vec<UsageTrend> {
     LibraryId::ALL
         .iter()
@@ -241,7 +233,6 @@ pub fn table5(data: &Dataset, top: usize) -> Vec<CdnBreakdown> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated reference implementations
 mod tests {
     use super::*;
     use crate::dataset::testkit;

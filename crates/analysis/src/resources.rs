@@ -18,10 +18,6 @@ pub struct CollectionSeries {
 ///
 /// Kept as the one-shot reference implementation; the accumulator
 /// equivalence tests pin [`crate::accum::CollectionAccum`] against it.
-#[deprecated(
-    note = "use accum::CollectionAccum::over(data).collection() or fold a \
-                     store with accum::fold_study"
-)]
 pub fn collection_series(data: &Dataset) -> CollectionSeries {
     let points: Vec<(Date, usize)> = data.weeks.iter().map(|w| (w.date, w.collected())).collect();
     let average = mean(&points.iter().map(|&(_, c)| c as f64).collect::<Vec<_>>());
@@ -74,7 +70,6 @@ pub fn resource_usage(data: &Dataset) -> Vec<ResourceUsage> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated reference implementations
 mod tests {
     use super::*;
     use crate::dataset::testkit;

@@ -279,23 +279,6 @@ impl Dataset {
     pub fn load_store(path: impl AsRef<Path>) -> Result<Dataset, StoreError> {
         dataset_from_reader(&AnyReader::open(path.as_ref())?)
     }
-
-    /// Builds a weeks-free shell from an opened store: timeline, ranks,
-    /// and the §4.1 filter verdict, but no snapshots. The streaming
-    /// analysis path attaches this to its results so study metadata
-    /// stays available without materialising any week.
-    pub fn shell_from_reader(reader: &AnyReader) -> Result<Dataset, StoreError> {
-        let (timeline, ranks) = genesis_to_parts(reader.genesis())?;
-        let filtered_out = crate::accum::store_filter_verdict(reader)?
-            .into_iter()
-            .collect();
-        Ok(Dataset {
-            timeline,
-            ranks,
-            weeks: Vec::new(),
-            filtered_out,
-        })
-    }
 }
 
 /// Materialises a [`Dataset`] from an already-opened store of either
@@ -560,8 +543,9 @@ pub fn export_json<W: std::io::Write>(reader: &AnyReader, out: &mut W) -> std::i
 /// What a [`Collector::run`](crate::dataset::Collector::run) did.
 #[derive(Debug)]
 pub struct CheckpointOutcome {
-    /// The collected (or restored), filtered dataset.
-    pub dataset: Dataset,
+    /// Domains removed by the §4.1 inaccessibility filter, sorted — the
+    /// verdict recorded in the finalized store.
+    pub filtered_out: Vec<String>,
     /// Weeks actually crawled in this run.
     pub weeks_crawled: usize,
     /// Weeks restored from the store instead of crawled.
@@ -570,28 +554,14 @@ pub struct CheckpointOutcome {
     pub torn_bytes_recovered: u64,
 }
 
-/// Collects a dataset, committing every crawled week to the snapshot
-/// store at `store_path` as it completes.
-#[deprecated(note = "use `Collector::from_config(config).telemetry(telemetry)\
-            .checkpoint(store_path).resume(resume).run(ecosystem)`")]
-pub fn collect_dataset_checkpointed(
-    ecosystem: &Arc<Ecosystem>,
-    config: CollectConfig,
-    telemetry: &Telemetry,
-    store_path: &Path,
-    resume: bool,
-) -> Result<CheckpointOutcome, StoreError> {
-    collect_checkpointed(ecosystem, config, telemetry, store_path, resume, false)
-}
-
 /// Streaming state for the §4.1 inaccessibility filter: the candidate
 /// set (every domain seen in any week's summaries) and the trailing
 /// [`FINAL_WEEKS`](webvuln_net::filter::FINAL_WEEKS) summary maps.
 /// [`verdict`](FilterWindow::verdict) applies exactly the
 /// [`inaccessible_domains`] rule — a candidate is dropped when it is
 /// error/empty (or absent) in every window week — without retaining the
-/// full timeline, so a streaming collection's filter state stays
-/// O(domains), not O(domains x weeks).
+/// full timeline, so the collection's filter state stays O(domains),
+/// not O(domains x weeks).
 struct FilterWindow {
     observed: BTreeSet<String>,
     window: std::collections::VecDeque<BTreeMap<String, FetchSummary>>,
@@ -635,7 +605,7 @@ impl FilterWindow {
 /// otherwise. Selection happens once, at open; the collection loop only
 /// sees the shared commit/finalize surface.
 enum CheckpointWriter {
-    Single(StoreWriter),
+    Single(Box<StoreWriter>),
     Sharded(ShardedStoreWriter),
 }
 
@@ -658,9 +628,9 @@ impl CheckpointWriter {
                 .threads(config.concurrency);
             Ok(CheckpointWriter::Sharded(writer))
         } else {
-            Ok(CheckpointWriter::Single(StoreWriter::create(
+            Ok(CheckpointWriter::Single(Box::new(StoreWriter::create(
                 store_path, genesis,
-            )?))
+            )?)))
         }
     }
 
@@ -726,7 +696,7 @@ impl CheckpointWriter {
             }
             match StoreWriter::resume(store_path) {
                 Ok(resumed) => Ok(ResumedCheckpoint {
-                    writer: CheckpointWriter::Single(resumed.writer),
+                    writer: CheckpointWriter::Single(Box::new(resumed.writer)),
                     weeks: resumed.weeks,
                     filtered_out: resumed.filtered_out,
                     torn_bytes: resumed.torn_bytes,
@@ -788,25 +758,22 @@ fn verify_resume_store(store_path: &Path) -> Result<(), StoreError> {
 /// The checkpointed collection loop behind
 /// [`Collector::run`](crate::dataset::Collector::run).
 ///
+/// Each week is committed and then dropped: only the [`FilterWindow`]
+/// (candidate domains plus the trailing-month summaries) is retained,
+/// and its verdict finalizes the store.
+///
 /// With `resume` set and an existing store present, committed weeks are
 /// restored from disk (after torn-tail recovery) and only the missing
 /// weeks are crawled; the restored crawl is byte-for-byte the crawl that
 /// produced them, because collection is deterministic in the ecosystem
 /// seed. The store must have been created from the same ecosystem —
 /// timeline and domain list are checked against the genesis segment.
-///
-/// With `streaming` set, each week is dropped right after its commit:
-/// only the [`FilterWindow`] (candidate domains plus the trailing-month
-/// summaries) is retained, the committed bytes and filter verdict are
-/// identical to a materialized run's, and the returned dataset is a
-/// thin shell with no weeks.
 pub(crate) fn collect_checkpointed(
     ecosystem: &Arc<Ecosystem>,
     config: CollectConfig,
     telemetry: &Telemetry,
     store_path: &Path,
     resume: bool,
-    streaming: bool,
 ) -> Result<CheckpointOutcome, StoreError> {
     let registry = telemetry.registry();
     let names = ecosystem.domain_names();
@@ -823,7 +790,6 @@ pub(crate) fn collect_checkpointed(
         ));
     }
     let torn_bytes_recovered = resumed.torn_bytes;
-    let finalized_filter = resumed.filtered_out;
     let mut writer = resumed.writer;
     let weeks_recovered = resumed.weeks.len();
     registry
@@ -846,36 +812,18 @@ pub(crate) fn collect_checkpointed(
     };
 
     // A finalized store is a completed run: nothing left to crawl.
-    if let Some(filtered) = finalized_filter {
+    if let Some(filtered_out) = resumed.filtered_out {
         if weeks_recovered != timeline.weeks {
             return Err(StoreError::Mismatch(format!(
                 "store is finalized but holds {weeks_recovered} of {} weeks",
                 timeline.weeks
             )));
         }
-        let (timeline, ranks) = genesis_to_parts(writer.genesis())?;
-        let mut weeks: Vec<WeekSnapshot> = Vec::new();
         for (i, week) in resumed.weeks.iter().enumerate() {
-            let snapshot = week_to_snapshot(week)?;
-            emit_restored(i, &snapshot);
-            if !streaming {
-                weeks.push(snapshot);
-            }
+            emit_restored(i, &week_to_snapshot(week)?);
         }
-        let mut dataset = Dataset {
-            timeline,
-            ranks,
-            weeks,
-            filtered_out: Vec::new(),
-        };
-        for week in &mut dataset.weeks {
-            week.pages.retain(|d, _| !filtered.contains(d));
-            week.summaries.retain(|d, _| !filtered.contains(d));
-            week.carried_forward.retain(|d| !filtered.contains(d));
-        }
-        dataset.filtered_out = filtered;
         return Ok(CheckpointOutcome {
-            dataset,
+            filtered_out,
             weeks_crawled: 0,
             weeks_recovered,
             torn_bytes_recovered,
@@ -883,24 +831,15 @@ pub(crate) fn collect_checkpointed(
     }
 
     // Replay the restored weeks through the collector so week-to-week
-    // state — circuit breakers, carry-forward baselines — resumes
-    // exactly where the interrupted run left it. A materialized run
-    // keeps every snapshot for the returned dataset; a streaming run
-    // keeps only the filter window and drops each snapshot once
-    // replayed.
+    // state — circuit breakers, carry-forward baselines, the filter
+    // window — resumes exactly where the interrupted run left it.
     let mut collector = WeekCollector::new(ecosystem, config, telemetry);
-    let mut snapshots: Vec<WeekSnapshot> =
-        Vec::with_capacity(if streaming { 0 } else { timeline.weeks });
     let mut filter = FilterWindow::new();
     for (i, week) in resumed.weeks.into_iter().enumerate() {
         let snapshot = week_to_snapshot(&week)?;
         emit_restored(i, &snapshot);
         collector.replay_week(&snapshot);
-        if streaming {
-            filter.absorb(&snapshot.summaries);
-        } else {
-            snapshots.push(snapshot);
-        }
+        filter.absorb(&snapshot.summaries);
     }
     let segments = registry.counter("store.segments_total");
     let delta_hits = registry.counter("store.delta_hits_total");
@@ -932,37 +871,15 @@ pub(crate) fn collect_checkpointed(
             timeline.weeks as u64,
             &format!("{date}: {} pages", snapshot.collected()),
         );
-        if streaming {
-            filter.absorb(&snapshot.summaries);
-        } else {
-            snapshots.push(snapshot);
-        }
+        filter.absorb(&snapshot.summaries);
         weeks_crawled += 1;
     }
 
-    // All weeks present: filter, record the verdict, finalize. The
-    // streaming verdict comes from the filter window (same §4.1 rule,
-    // same sorted order); the snapshots vector is empty, so the dataset
-    // below is the documented shell.
-    let ranks = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i + 1))
-        .collect();
-    let mut dataset = Dataset {
-        timeline,
-        ranks,
-        weeks: snapshots,
-        filtered_out: Vec::new(),
-    };
-    if streaming {
-        dataset.filtered_out = filter.verdict();
-    } else {
-        dataset.apply_inaccessibility_filter();
-    }
-    writer.finalize(&dataset.filtered_out)?;
+    // All weeks present: record the verdict and finalize.
+    let filtered_out = filter.verdict();
+    writer.finalize(&filtered_out)?;
     Ok(CheckpointOutcome {
-        dataset,
+        filtered_out,
         weeks_crawled,
         weeks_recovered,
         torn_bytes_recovered,
@@ -1201,14 +1118,13 @@ mod tests {
             &Telemetry::new(),
             &path,
             false,
-            false,
         )
         .expect("collect");
         assert_eq!(outcome.weeks_crawled, 6);
         assert_eq!(outcome.weeks_recovered, 0);
-        assert_datasets_equal(&plain, &outcome.dataset);
+        assert_eq!(outcome.filtered_out, plain.filtered_out);
         // The store on disk is the finalized run; loading it restores the
-        // same dataset.
+        // reference dataset.
         let restored = Dataset::load_store(&path).expect("load");
         assert_datasets_equal(&plain, &restored);
         let _ = std::fs::remove_file(&path);
@@ -1234,15 +1150,8 @@ mod tests {
             }
         }
         let telemetry = Telemetry::new();
-        let outcome = collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &telemetry,
-            &path,
-            true,
-            false,
-        )
-        .expect("resume");
+        let outcome = collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, true)
+            .expect("resume");
         assert_eq!(outcome.weeks_recovered, 4);
         assert_eq!(outcome.weeks_crawled, 2);
         let snap = telemetry.snapshot();
@@ -1250,21 +1159,23 @@ mod tests {
         assert_eq!(snap.counter("store.segments_total"), Some(2));
         // Only the missing weeks were fetched over the network.
         assert_eq!(snap.counter("net.fetches_total"), Some(100 * 2));
-        // The result is identical to an uninterrupted collection.
+        // The healed store is identical to an uninterrupted collection.
         let plain = testkit::collect(&eco, CollectConfig::default());
-        assert_datasets_equal(&plain, &outcome.dataset);
-        // A second resume finds the finalized store and crawls nothing.
+        assert_eq!(outcome.filtered_out, plain.filtered_out);
+        assert_datasets_equal(&plain, &Dataset::load_store(&path).expect("load"));
+        // A second resume finds the finalized store, crawls nothing, and
+        // returns the stored verdict.
         let outcome = collect_checkpointed(
             &eco,
             CollectConfig::default(),
             &Telemetry::new(),
             &path,
             true,
-            false,
         )
         .expect("resume finalized");
         assert_eq!(outcome.weeks_crawled, 0);
-        assert_datasets_equal(&plain, &outcome.dataset);
+        assert_eq!(outcome.weeks_recovered, 6);
+        assert_eq!(outcome.filtered_out, plain.filtered_out);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1321,11 +1232,12 @@ mod tests {
                     .expect("commit");
             }
         }
-        let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &path, true, false)
-            .expect("resume");
+        let outcome =
+            collect_checkpointed(&eco, config, &Telemetry::new(), &path, true).expect("resume");
         assert_eq!(outcome.weeks_recovered, 3);
         assert_eq!(outcome.weeks_crawled, 3);
-        assert_datasets_equal(&plain, &outcome.dataset);
+        assert_eq!(outcome.filtered_out, plain.filtered_out);
+        assert_datasets_equal(&plain, &Dataset::load_store(&path).expect("load"));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1339,7 +1251,6 @@ mod tests {
             &Telemetry::new(),
             &path,
             false,
-            false,
         )
         .expect("collect");
         let other = small_eco(32, 100, 6);
@@ -1349,7 +1260,6 @@ mod tests {
             &Telemetry::new(),
             &path,
             true,
-            false,
         )
         .expect_err("different seed must be rejected");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
@@ -1361,15 +1271,8 @@ mod tests {
         let eco = small_eco(41, 150, 8);
         let path = temp_store("delta");
         let telemetry = Telemetry::new();
-        collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &telemetry,
-            &path,
-            false,
-            false,
-        )
-        .expect("collect");
+        collect_checkpointed(&eco, CollectConfig::default(), &telemetry, &path, false)
+            .expect("collect");
         let snap = telemetry.snapshot();
         let hits = snap.counter("store.delta_hits_total").unwrap_or(0);
         let misses = snap.counter("store.delta_misses_total").unwrap_or(0);
@@ -1403,10 +1306,10 @@ mod tests {
             shards: 3,
             ..CollectConfig::default()
         };
-        let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &dir, false, false)
-            .expect("collect");
+        let outcome =
+            collect_checkpointed(&eco, config, &Telemetry::new(), &dir, false).expect("collect");
         assert_eq!(outcome.weeks_crawled, 6);
-        assert_datasets_equal(&plain, &outcome.dataset);
+        assert_eq!(outcome.filtered_out, plain.filtered_out);
         // The store on disk is a directory; loading it through the
         // layout-agnostic path restores the same dataset.
         assert!(dir.is_dir(), "sharded store must be a directory");
@@ -1438,12 +1341,13 @@ mod tests {
                     .expect("commit");
             }
         }
-        let outcome = collect_checkpointed(&eco, config, &Telemetry::new(), &dir, true, false)
-            .expect("resume");
+        let outcome =
+            collect_checkpointed(&eco, config, &Telemetry::new(), &dir, true).expect("resume");
         assert_eq!(outcome.weeks_recovered, 4);
         assert_eq!(outcome.weeks_crawled, 2);
         let plain = testkit::collect(&eco, CollectConfig::default());
-        assert_datasets_equal(&plain, &outcome.dataset);
+        assert_eq!(outcome.filtered_out, plain.filtered_out);
+        assert_datasets_equal(&plain, &Dataset::load_store(&dir).expect("load"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1455,12 +1359,12 @@ mod tests {
             shards: 3,
             ..CollectConfig::default()
         };
-        collect_checkpointed(&eco, three, &Telemetry::new(), &dir, false, false).expect("collect");
+        collect_checkpointed(&eco, three, &Telemetry::new(), &dir, false).expect("collect");
         let two = CollectConfig {
             shards: 2,
             ..CollectConfig::default()
         };
-        let err = collect_checkpointed(&eco, two, &Telemetry::new(), &dir, true, false)
+        let err = collect_checkpointed(&eco, two, &Telemetry::new(), &dir, true)
             .expect_err("shard-count change must be rejected");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
         assert!(err.to_string().contains("3 shards"), "{err}");
@@ -1474,10 +1378,9 @@ mod tests {
             &Telemetry::new(),
             &path,
             false,
-            false,
         )
         .expect("collect single");
-        let err = collect_checkpointed(&eco, two, &Telemetry::new(), &path, true, false)
+        let err = collect_checkpointed(&eco, two, &Telemetry::new(), &path, true)
             .expect_err("layout change must be rejected");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
         assert!(err.to_string().contains("single file"), "{err}");
@@ -1485,12 +1388,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_without_a_checkpoint_store_is_rejected() {
+    fn collection_without_a_checkpoint_store_is_rejected() {
         let eco = small_eco(1, 10, 2);
         let err = crate::dataset::Collector::new()
-            .streaming(true)
             .run(&eco)
-            .expect_err("no store to stream through");
+            .expect_err("no store to collect into");
         assert!(matches!(err, StoreError::Mismatch(_)), "{err}");
     }
 
@@ -1523,61 +1425,50 @@ mod tests {
     }
 
     #[test]
-    fn streaming_collection_commits_identical_bytes_and_returns_a_shell() {
+    fn checkpointed_collection_commits_the_reference_under_hostile_faults() {
         let eco = small_eco(77, 100, 6);
-        let config = CollectConfig {
+        let config = |concurrency| CollectConfig {
+            concurrency,
             faults: FaultPlan::hostile(77),
             ..CollectConfig::default()
         };
-        let batch_path = temp_store("stream-collect-batch");
-        let materialized =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &batch_path, false, false)
-                .expect("materialized");
-        let stream_path = temp_store("stream-collect-stream");
-        let streaming =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &stream_path, false, true)
-                .expect("streaming");
-        // Same committed bytes, same filter verdict; the streaming
-        // outcome carries the documented shell (no weeks).
+        let reference = testkit::collect(&eco, config(8));
+        let one_path = temp_store("hostile-t1");
+        let one = collect_checkpointed(&eco, config(1), &Telemetry::new(), &one_path, false)
+            .expect("one thread");
+        let many_path = temp_store("hostile-t8");
+        let many = collect_checkpointed(&eco, config(8), &Telemetry::new(), &many_path, false)
+            .expect("eight threads");
+        // Same committed bytes at every thread count, and the store
+        // materializes back to the in-memory reference with its verdict.
         assert_eq!(
-            std::fs::read(&batch_path).expect("batch bytes"),
-            std::fs::read(&stream_path).expect("stream bytes"),
+            std::fs::read(&one_path).expect("one-thread bytes"),
+            std::fs::read(&many_path).expect("eight-thread bytes"),
         );
-        assert_eq!(
-            materialized.dataset.filtered_out,
-            streaming.dataset.filtered_out
-        );
-        assert_eq!(materialized.dataset.timeline, streaming.dataset.timeline);
-        assert_eq!(materialized.dataset.ranks, streaming.dataset.ranks);
-        assert!(streaming.dataset.weeks.is_empty());
-        assert_eq!(streaming.weeks_crawled, 6);
-        // Loading the streaming store back materializes the batch run.
-        let restored = Dataset::load_store(&stream_path).expect("load");
-        assert_datasets_equal(&materialized.dataset, &restored);
-        let _ = std::fs::remove_file(&batch_path);
-        let _ = std::fs::remove_file(&stream_path);
+        assert_eq!(many.weeks_crawled, 6);
+        assert_eq!(one.filtered_out, reference.filtered_out);
+        assert_eq!(many.filtered_out, reference.filtered_out);
+        let restored = Dataset::load_store(&many_path).expect("load");
+        assert_datasets_equal(&reference, &restored);
+        let _ = std::fs::remove_file(&one_path);
+        let _ = std::fs::remove_file(&many_path);
     }
 
     #[test]
-    fn sharded_streaming_collection_matches_materialized_bytes() {
+    fn sharded_collection_bytes_are_identical_across_threads() {
         let eco = small_eco(78, 90, 5);
-        let config = CollectConfig {
+        let config = |concurrency| CollectConfig {
+            concurrency,
             shards: 3,
             ..CollectConfig::default()
         };
-        let batch_dir = temp_store_dir("stream-shards-batch");
-        let materialized =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &batch_dir, false, false)
-                .expect("materialized");
-        let stream_dir = temp_store_dir("stream-shards-stream");
-        let streaming =
-            collect_checkpointed(&eco, config, &Telemetry::new(), &stream_dir, false, true)
-                .expect("streaming");
-        assert!(streaming.dataset.weeks.is_empty());
-        assert_eq!(
-            materialized.dataset.filtered_out,
-            streaming.dataset.filtered_out
-        );
+        let one_dir = temp_store_dir("shards-t1");
+        let one = collect_checkpointed(&eco, config(1), &Telemetry::new(), &one_dir, false)
+            .expect("one thread");
+        let many_dir = temp_store_dir("shards-t8");
+        let many = collect_checkpointed(&eco, config(8), &Telemetry::new(), &many_dir, false)
+            .expect("eight threads");
+        assert_eq!(one.filtered_out, many.filtered_out);
         for name in [
             "MANIFEST",
             "shard-000.wvstore",
@@ -1585,67 +1476,13 @@ mod tests {
             "shard-002.wvstore",
         ] {
             assert_eq!(
-                std::fs::read(batch_dir.join(name)).expect("batch shard"),
-                std::fs::read(stream_dir.join(name)).expect("stream shard"),
+                std::fs::read(one_dir.join(name)).expect("one-thread shard"),
+                std::fs::read(many_dir.join(name)).expect("eight-thread shard"),
                 "{name}"
             );
         }
-        let _ = std::fs::remove_dir_all(&batch_dir);
-        let _ = std::fs::remove_dir_all(&stream_dir);
-    }
-
-    #[test]
-    fn streaming_resume_continues_from_a_partial_store() {
-        let eco = small_eco(31, 100, 6);
-        let path = temp_store("stream-resume");
-        let telemetry = Telemetry::new();
-        // Simulate a run killed after week 3: commit 4 weeks by hand.
-        {
-            let mut collector = WeekCollector::new(&eco, CollectConfig::default(), &telemetry);
-            let timeline = *eco.timeline();
-            let mut writer =
-                StoreWriter::create(&path, genesis_for(&timeline, &eco.domain_names()))
-                    .expect("create");
-            for (week, date) in timeline.iter().take(4) {
-                let snap = collector.collect_week(week, date, &telemetry);
-                writer
-                    .commit_week(&snapshot_to_week(&snap))
-                    .expect("commit");
-            }
-        }
-        let outcome = collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &telemetry,
-            &path,
-            true,
-            true,
-        )
-        .expect("streaming resume");
-        assert_eq!(outcome.weeks_recovered, 4);
-        assert_eq!(outcome.weeks_crawled, 2);
-        assert!(outcome.dataset.weeks.is_empty());
-        // The healed store and the shell's verdict match an
-        // uninterrupted materialized run.
-        let plain = testkit::collect(&eco, CollectConfig::default());
-        assert_eq!(outcome.dataset.filtered_out, plain.filtered_out);
-        let restored = Dataset::load_store(&path).expect("load");
-        assert_datasets_equal(&plain, &restored);
-        // Streaming-resuming the now-finalized store crawls nothing and
-        // returns the stored verdict.
-        let finalized = collect_checkpointed(
-            &eco,
-            CollectConfig::default(),
-            &Telemetry::new(),
-            &path,
-            true,
-            true,
-        )
-        .expect("resume finalized");
-        assert_eq!(finalized.weeks_crawled, 0);
-        assert!(finalized.dataset.weeks.is_empty());
-        assert_eq!(finalized.dataset.filtered_out, plain.filtered_out);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&one_dir);
+        let _ = std::fs::remove_dir_all(&many_dir);
     }
 
     #[test]

@@ -74,10 +74,6 @@ pub struct CveImpact {
 ///
 /// Kept as the one-shot reference implementation; the accumulator
 /// equivalence tests pin [`crate::accum::CveExposureAccum`] against it.
-#[deprecated(
-    note = "use accum::CveExposureAccum::over(data, db).cve_impacts(db) or \
-                     fold a store with accum::fold_study"
-)]
 pub fn cve_impact(data: &Dataset, db: &VulnDb, id: &str) -> Option<CveImpact> {
     let record = db.record(id)?;
     let mut claimed_sites = Vec::new();
@@ -202,7 +198,6 @@ pub fn refinement_summary(data: &Dataset, db: &VulnDb) -> RefinementSummary {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the deprecated reference implementations
 mod tests {
     use super::*;
     use crate::dataset::testkit;

@@ -3,9 +3,10 @@
 //! reader must never panic on arbitrarily mutilated store bytes.
 
 use std::sync::Arc;
-use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
+use webvuln_analysis::dataset::{CollectConfig, Dataset};
 use webvuln_check::check;
 use webvuln_store::StoreReader;
+use webvuln_telemetry::Telemetry;
 use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn temp_path(tag: &str, seed: u64) -> std::path::PathBuf {
@@ -23,10 +24,7 @@ fn collect(seed: u64, domains: usize, weeks: usize) -> Dataset {
         domain_count: domains,
         timeline: Timeline::truncated(weeks),
     }));
-    Collector::from_config(CollectConfig::default())
-        .run(&eco)
-        .expect("collection")
-        .dataset
+    Dataset::collect(&eco, CollectConfig::default(), &Telemetry::new()).expect("collection")
 }
 
 fn assert_datasets_equal(a: &Dataset, b: &Dataset) {

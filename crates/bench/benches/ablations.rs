@@ -104,9 +104,14 @@ fn ablation_filtering() {
     });
 }
 
-/// Pipeline scale: end-to-end collection cost as the domain count grows
-/// (short 20-week horizon to keep the sweep tractable).
+/// Pipeline scale: end-to-end collection cost — crawl, fingerprint and
+/// store commit — as the domain count grows (short 20-week horizon to
+/// keep the sweep tractable).
 fn ablation_pipeline_scale() {
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-bench-scale-{}.wvstore",
+        std::process::id()
+    ));
     for domains in [100usize, 200, 400] {
         let eco = Arc::new(Ecosystem::generate(EcosystemConfig {
             seed: 9,
@@ -116,9 +121,15 @@ fn ablation_pipeline_scale() {
         bench(
             &format!("ablation_pipeline_scale/{domains}"),
             Throughput::Elements((domains * 20) as u64),
-            || Collector::new().run(&eco).expect("collection").dataset,
+            || {
+                Collector::new()
+                    .checkpoint(&store)
+                    .run(&eco)
+                    .expect("collection")
+            },
         );
     }
+    let _ = std::fs::remove_file(&store);
 }
 
 fn main() {

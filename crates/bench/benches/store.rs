@@ -4,9 +4,10 @@
 
 use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
-use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
+use webvuln_analysis::dataset::{CollectConfig, Dataset};
 use webvuln_bench::{bench, Throughput};
 use webvuln_store::AnyReader;
+use webvuln_telemetry::Telemetry;
 use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 /// A mid-sized longitudinal dataset: big enough that delta encoding has
@@ -19,10 +20,7 @@ fn store_dataset() -> &'static Dataset {
             domain_count: 300,
             timeline: Timeline::truncated(30),
         }));
-        Collector::from_config(CollectConfig::default())
-            .run(&eco)
-            .expect("collection")
-            .dataset
+        Dataset::collect(&eco, CollectConfig::default(), &Telemetry::new()).expect("collection")
     })
 }
 

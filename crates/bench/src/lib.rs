@@ -20,7 +20,8 @@
 use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use webvuln_analysis::dataset::{Collector, Dataset};
+use webvuln_analysis::dataset::{CollectConfig, Dataset};
+use webvuln_telemetry::Telemetry;
 use webvuln_webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 /// Domains in the shared bench dataset.
@@ -34,7 +35,8 @@ pub fn bench_dataset() -> &'static Dataset {
         eprintln!("[bench] collecting shared dataset: {BENCH_DOMAINS} domains x 201 weeks …");
         let eco = bench_ecosystem();
         let started = std::time::Instant::now();
-        let data = Collector::new().run(eco).expect("collection").dataset;
+        let data =
+            Dataset::collect(eco, CollectConfig::default(), &Telemetry::new()).expect("collection");
         eprintln!("[bench] dataset ready in {:.1?}", started.elapsed());
         data
     })

@@ -1,7 +1,8 @@
 //! The study driver: one call runs §4–§8 end-to-end on a synthetic web
 //! and returns every computed artifact.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use webvuln_analysis::accum::{fold_study, StudyAccum, StudyArtifacts};
 use webvuln_analysis::dataset::{CollectConfig, Collector, Dataset};
@@ -75,10 +76,9 @@ pub struct StudyConfig {
     pub timeline: Timeline,
     /// Crawler worker threads.
     pub concurrency: usize,
-    /// Shard count for the checkpoint store (default 1: a single store
-    /// file). With `shards > 1` the checkpoint path becomes a directory
-    /// of per-shard stores committed in parallel under one manifest
-    /// epoch. No effect without a checkpoint store.
+    /// Shard count for the study's store (default 1: a single store
+    /// file). With `shards > 1` the store path becomes a directory of
+    /// per-shard stores committed in parallel under one manifest epoch.
     pub shards: usize,
     /// Connection-level fault injection.
     pub faults: FaultPlan,
@@ -123,14 +123,25 @@ impl StudyConfig {
             ..StudyConfig::default()
         }
     }
+
+    /// The collection half of this configuration.
+    pub fn collect_config(&self) -> CollectConfig {
+        CollectConfig {
+            concurrency: self.concurrency,
+            shards: self.shards,
+            faults: self.faults,
+            retry: self.retry,
+            breaker: self.breaker,
+            carry_forward: self.carry_forward,
+            supervise: self.supervise,
+        }
+    }
 }
 
 /// Everything a study run produces.
 pub struct StudyResults {
     /// The configuration used.
     pub config: StudyConfig,
-    /// The collected, filtered dataset.
-    pub dataset: Dataset,
     /// The vulnerability database used for joins.
     pub db: VulnDb,
     /// Figure 2(a).
@@ -194,6 +205,11 @@ pub struct StudyResults {
 /// checkpointing, telemetry and threads compose as orthogonal options,
 /// then [`run`](Pipeline::run) executes the pipeline end-to-end.
 ///
+/// Every study streams through a snapshot store: each crawled week is
+/// committed and dropped, and the analyses then fold the finalized store
+/// through the mergeable accumulators. Peak memory is one in-flight week
+/// plus the accumulator state, whatever the timeline's length.
+///
 /// ```no_run
 /// use webvuln_core::{Pipeline, StudyConfig};
 ///
@@ -201,7 +217,7 @@ pub struct StudyResults {
 ///     .threads(8)
 ///     .run()
 ///     .expect("study");
-/// println!("{} weeks collected", results.dataset.week_count());
+/// println!("{} weeks collected", results.collection.points.len());
 /// ```
 #[derive(Clone)]
 pub struct Pipeline<'a> {
@@ -209,13 +225,8 @@ pub struct Pipeline<'a> {
     telemetry: Option<&'a Telemetry>,
     store: Option<PathBuf>,
     resume: bool,
-    streaming: bool,
     trace: TraceMode,
 }
-
-/// Alias for [`Pipeline`]: `StudyBuilder::from(config)` reads naturally
-/// when the builder starts from an existing [`StudyConfig`].
-pub type StudyBuilder<'a> = Pipeline<'a>;
 
 impl From<StudyConfig> for Pipeline<'_> {
     fn from(config: StudyConfig) -> Self {
@@ -237,7 +248,6 @@ impl<'a> Pipeline<'a> {
             telemetry: None,
             store: None,
             resume: false,
-            streaming: false,
             trace: TraceMode::Disabled,
         }
     }
@@ -268,11 +278,11 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Shard count for the [`checkpoint`](Pipeline::checkpoint) store.
-    /// With more than one shard the store path is a directory of
-    /// per-shard files written in parallel and published atomically by a
-    /// manifest rename per week. Shard count never changes the results —
-    /// only the on-disk layout and commit parallelism.
+    /// Shard count for the study's store. With more than one shard the
+    /// store path is a directory of per-shard files written in parallel
+    /// and published atomically by a manifest rename per week. Shard
+    /// count never changes the results — only the on-disk layout and
+    /// commit parallelism.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards.max(1);
         self
@@ -332,7 +342,10 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Commits every crawled week to the snapshot store at `path` as it
-    /// completes.
+    /// completes, and keeps the store after the run. Without a
+    /// checkpoint, the study commits to a private store under
+    /// [`std::env::temp_dir`] (named `webvuln-study-<pid>-<n>`) that
+    /// [`run`](Pipeline::run) removes before it returns or unwinds.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.store = Some(path.into());
         self
@@ -350,18 +363,9 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Paper-scale memory mode: each crawled week is committed to the
-    /// [`checkpoint`](Pipeline::checkpoint) store and dropped, and the
-    /// analyses then stream the finalized store back through the
-    /// mergeable accumulators on `threads` workers. Peak memory is one
-    /// in-flight week plus the accumulator state instead of the whole
-    /// timeline; the rendered report is byte-identical to a
-    /// materialized run's, whatever the thread or shard count. The
-    /// attached [`StudyResults::dataset`] is a thin shell (timeline,
-    /// ranks, filter verdict — no weeks). Requires a checkpoint store;
-    /// [`run`](Pipeline::run) rejects the combination otherwise.
-    pub fn streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
+    /// Does nothing: every study streams through its store.
+    #[deprecated(note = "every study streams through its store; drop the call")]
+    pub fn streaming(self, _streaming: bool) -> Self {
         self
     }
 
@@ -382,9 +386,8 @@ impl<'a> Pipeline<'a> {
         self.config
     }
 
-    /// Runs the full study. A pipeline without
-    /// [`checkpoint`](Pipeline::checkpoint) fails only under
-    /// [`supervise`](Pipeline::supervise), when quarantined tasks exceed
+    /// Runs the full study. Fails on a store error, or under
+    /// [`supervise`](Pipeline::supervise) when quarantined tasks exceed
     /// the failure budget.
     pub fn run(&self) -> Result<StudyResults, StoreError> {
         let fallback;
@@ -431,52 +434,30 @@ impl<'a> Pipeline<'a> {
                 config.domain_count, config.timeline.weeks
             ),
         );
-        let mut collector = Collector::from_config(CollectConfig {
-            concurrency: config.concurrency,
-            shards: config.shards,
-            faults: config.faults,
-            retry: config.retry,
-            breaker: config.breaker,
-            carry_forward: config.carry_forward,
-            supervise: config.supervise,
-        })
-        .telemetry(telemetry);
-        if self.streaming && self.store.is_none() {
-            return Err(StoreError::Mismatch(
-                "streaming pipeline needs a checkpoint store: each week is \
-                 committed and dropped, then the analyses stream the store \
-                 back — without one there is nowhere to stream from"
-                    .to_string(),
-            ));
-        }
-        if let Some(path) = &self.store {
-            collector = collector
-                .checkpoint(path)
-                .resume(self.resume)
-                .streaming(self.streaming);
-        }
-        let outcome = match collector.run(&ecosystem) {
-            Ok(outcome) => outcome,
-            Err(err) => {
-                // The run is aborting (failure budget exhausted or a
-                // store error): dump the flight recorder so the final
-                // moments of every in-flight task are not lost.
-                if let Some(tracer) = &tracer {
-                    eprintln!("study aborted: {err}");
-                    eprintln!("{}", tracer.flight_recorder_dump());
-                }
-                return Err(err);
+        let temp;
+        let store = match &self.store {
+            Some(path) => path.as_path(),
+            None => {
+                temp = TempStore::create()?;
+                temp.path()
             }
         };
-        let mut results = if self.streaming {
-            // The store is the buffer: collection just dropped every
-            // committed week, so stream them back through the mergeable
-            // accumulators instead of analyzing an in-memory dataset.
-            let store = self.store.as_ref().expect("checked above");
-            analyze_store(config, store, telemetry)?
-        } else {
-            analyze_with(config, outcome.dataset, telemetry)
-        };
+        let collected = Collector::from_config(config.collect_config())
+            .telemetry(telemetry)
+            .checkpoint(store)
+            .resume(self.resume)
+            .run(&ecosystem);
+        if let Err(err) = collected {
+            // The run is aborting (failure budget exhausted or a store
+            // error): dump the flight recorder so the final moments of
+            // every in-flight task are not lost.
+            if let Some(tracer) = &tracer {
+                eprintln!("study aborted: {err}");
+                eprintln!("{}", tracer.flight_recorder_dump());
+            }
+            return Err(err);
+        }
+        let mut results = analyze_store(config, store, telemetry)?;
         if let Some(tracer) = &tracer {
             results.trace = Some(tracer.finish());
         }
@@ -484,95 +465,56 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-/// Runs the full study.
-#[deprecated(note = "use `Pipeline::new(config).run()`")]
-pub fn run_study(config: StudyConfig) -> StudyResults {
-    Pipeline::new(config)
-        .run()
-        .expect("non-checkpointed study is infallible")
+/// A study's private store when no checkpoint path was given: a fresh
+/// directory under [`std::env::temp_dir`] holding the store, removed
+/// with everything in it when the guard drops — on success, on error,
+/// and on unwind.
+struct TempStore {
+    dir: PathBuf,
+    store: PathBuf,
 }
 
-/// Runs the full study, recording metrics, per-phase spans, and progress
-/// events through `telemetry`.
-#[deprecated(note = "use `Pipeline::new(config).telemetry(telemetry).run()`")]
-pub fn run_study_with(config: StudyConfig, telemetry: &Telemetry) -> StudyResults {
-    Pipeline::new(config)
-        .telemetry(telemetry)
-        .run()
-        .expect("non-checkpointed study is infallible")
+impl TempStore {
+    fn create() -> Result<TempStore, StoreError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "webvuln-study-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        // A directory left by an earlier process with a recycled pid.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir(&dir).map_err(|e| StoreError::io(&dir, e))?;
+        let store = dir.join("study.wvstore");
+        Ok(TempStore { dir, store })
+    }
+
+    fn path(&self) -> &Path {
+        &self.store
+    }
 }
 
-/// Runs the full study with week-by-week checkpointing into the snapshot
-/// store at `store_path`.
-#[deprecated(note = "use `Pipeline::new(config).telemetry(telemetry)\
-            .checkpoint(store_path).resume(resume).run()`")]
-pub fn run_study_checkpointed(
-    config: StudyConfig,
-    telemetry: &Telemetry,
-    store_path: &std::path::Path,
-    resume: bool,
-) -> Result<StudyResults, StoreError> {
-    Pipeline::new(config)
-        .telemetry(telemetry)
-        .checkpoint(store_path)
-        .resume(resume)
-        .run()
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
-/// Runs all analyses over an already-collected dataset.
-pub fn analyze(config: StudyConfig, dataset: Dataset) -> StudyResults {
-    analyze_with(config, dataset, &Telemetry::new())
-}
-
-/// Like [`analyze`], timing the CVE-join and table-building phases
-/// through `telemetry`. The snapshot attached to the results is taken
-/// from `telemetry` after both phases complete.
-pub fn analyze_with(config: StudyConfig, dataset: Dataset, telemetry: &Telemetry) -> StudyResults {
-    let (db, lab, accum) = {
-        let _span = telemetry.span("join");
-        let _trace = webvuln_trace::phase_scope("join");
-        let _ = webvuln_failpoint::hit("phase.join", "");
-        let db = VulnDb::builtin();
-        let lab = Lab::new();
-        let accum = StudyAccum::over(&dataset, &db);
-        webvuln_trace::emit(
-            "join.done",
-            "",
-            &format!("cve_impacts={}", db.records().len()),
-            db.records().len() as u64 * 1_000,
-            webvuln_trace::Sink::Export,
-        );
-        (db, lab, accum)
-    };
-    let mut results = {
-        let _span = telemetry.span("analyze");
-        let _trace = webvuln_trace::phase_scope("analyze");
-        let _ = webvuln_failpoint::hit("phase.analyze", "");
-        let weeks = dataset.week_count();
-        let artifacts = accum.finish(&db);
-        let results = build_results(config, dataset, db, &lab, artifacts);
-        webvuln_trace::emit(
-            "analyze.done",
-            "",
-            &format!("weeks={weeks}"),
-            weeks as u64 * 1_000,
-            webvuln_trace::Sink::Export,
-        );
-        results
-    };
-    results.telemetry = telemetry.snapshot();
-    results
+/// Runs all analyses over an already-collected dataset: the in-memory
+/// reference the store-backed [`Pipeline::run`] is tested against.
+pub fn analyze(config: StudyConfig, dataset: &Dataset) -> StudyResults {
+    let db = VulnDb::builtin();
+    let artifacts = StudyAccum::over(dataset, &db).finish(&db);
+    build_results(config, db, &Lab::new(), artifacts)
 }
 
 /// Streams an existing snapshot store (either layout) through the
 /// mergeable accumulators and renders the full artifact set, without ever
 /// materializing a [`Dataset`]. Peak memory is one decoded week per
-/// thread plus the accumulator state. The attached `dataset` is a thin
-/// shell (timeline, ranks, and filter verdict only, no weeks) — every
-/// artifact in the results is already computed.
+/// thread plus the accumulator state.
 pub fn analyze_store(
     config: StudyConfig,
-    store: &std::path::Path,
+    store: &Path,
     telemetry: &Telemetry,
 ) -> Result<StudyResults, StoreError> {
     let reader = if store.is_dir() {
@@ -602,8 +544,7 @@ pub fn analyze_store(
         let _ = webvuln_failpoint::hit("phase.analyze", "");
         let weeks = reader.weeks_committed();
         let artifacts = accum.finish(&db);
-        let dataset = Dataset::shell_from_reader(&reader)?;
-        let results = build_results(config, dataset, db, &lab, artifacts);
+        let results = build_results(config, db, &lab, artifacts);
         webvuln_trace::emit(
             "analyze.done",
             "",
@@ -619,7 +560,6 @@ pub fn analyze_store(
 
 fn build_results(
     config: StudyConfig,
-    dataset: Dataset,
     db: VulnDb,
     lab: &Lab,
     artifacts: StudyArtifacts,
@@ -650,7 +590,6 @@ fn build_results(
         validations: lab.validate_all(),
         telemetry: Snapshot::default(),
         trace: None,
-        dataset,
         db,
         config,
     }
@@ -659,6 +598,12 @@ fn build_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A temp path for a checkpoint store, unique per process and tag
+    /// (a fresh checkpoint truncates whatever an earlier run left).
+    fn temp_store(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("webvuln-core-{}-{tag}.wvstore", std::process::id()))
+    }
 
     #[test]
     fn quick_study_produces_all_artifacts() {
@@ -696,6 +641,7 @@ mod tests {
     #[test]
     fn resilient_study_records_retry_telemetry() {
         let seed = StudyConfig::quick().seed;
+        let store = temp_store("resilient");
         let results = Pipeline::new(StudyConfig::quick())
             .domains(150)
             .timeline(Timeline::truncated(6))
@@ -705,16 +651,19 @@ mod tests {
             .retry(RetryPolicy::standard(3))
             .breaker(BreakerConfig::default())
             .carry_forward(true)
+            .checkpoint(&store)
             .run()
             .expect("study");
+        let dataset = Dataset::load_store(&store).expect("load");
+        let _ = std::fs::remove_file(&store);
         let snap = &results.telemetry;
         assert!(snap.counter("net.retries_total").unwrap_or(0) > 0);
         assert!(snap.counter("net.retry_success_total").unwrap_or(0) > 0);
         assert!(snap.histogram("net.backoff_delay_ns").is_some());
-        // The counter tallies live carry events; the dataset keeps only
-        // those surviving the §4.1 filter.
+        // The counter tallies live carry events; the stored dataset keeps
+        // only those surviving the §4.1 filter.
         let carried = snap.counter("net.carry_forward_total").unwrap_or(0);
-        assert!(carried >= results.dataset.carried_forward_total() as u64);
+        assert!(carried >= dataset.carried_forward_total() as u64);
     }
 
     #[test]
@@ -742,10 +691,10 @@ mod tests {
 
     #[test]
     fn builder_round_trips_every_config_field() {
-        // `StudyBuilder::from(config).build()` must preserve every field,
-        // for quick() and for a fully customised config.
+        // `Pipeline::from(config).build()` must preserve every field, for
+        // quick() and for a fully customised config.
         let quick = StudyConfig::quick();
-        assert_eq!(StudyBuilder::from(quick).build(), quick);
+        assert_eq!(Pipeline::from(quick).build(), quick);
         let custom = StudyConfig {
             seed: 7,
             domain_count: 123,
@@ -758,7 +707,7 @@ mod tests {
             carry_forward: true,
             supervise: Some(SuperviseConfig::default().max_failures(5)),
         };
-        assert_eq!(StudyBuilder::from(custom).build(), custom);
+        assert_eq!(Pipeline::from(custom).build(), custom);
         // Builder setters land in the built config too.
         let built = Pipeline::new(quick)
             .seed(7)
@@ -819,12 +768,14 @@ mod tests {
 
     #[test]
     fn traced_study_is_deterministic_and_attributes_costs() {
+        let traced_store = |threads| temp_store(&format!("traced-t{threads}"));
         let run = |threads| {
             Pipeline::new(StudyConfig::quick())
                 .domains(80)
                 .timeline(Timeline::truncated(4))
                 .threads(threads)
                 .trace(TraceMode::Full)
+                .checkpoint(traced_store(threads))
                 .run()
                 .expect("study")
         };
@@ -851,40 +802,24 @@ mod tests {
         assert!(!ta.patterns.is_empty(), "pattern profile empty");
         assert!(!ta.domains.is_empty(), "domain profile empty");
         assert!(ta.patterns.iter().any(|(_, s)| s.vm_steps > 0));
-        // Tracing is observational: the study's results are unchanged,
+        // Tracing is observational: the committed store is unchanged,
         // and an untraced run attaches no trace at all.
+        let plain_store = temp_store("untraced");
         let plain = Pipeline::new(StudyConfig::quick())
             .domains(80)
             .timeline(Timeline::truncated(4))
+            .checkpoint(&plain_store)
             .run()
             .expect("study");
         assert!(plain.trace.is_none());
         assert_eq!(plain.collection.points.len(), a.collection.points.len());
-        for (wa, wb) in plain.dataset.weeks.iter().zip(&a.dataset.weeks) {
-            assert_eq!(wa.pages, wb.pages);
-            assert_eq!(wa.summaries, wb.summaries);
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_the_builder() {
-        let config = StudyConfig {
-            domain_count: 60,
-            timeline: Timeline::truncated(3),
-            ..StudyConfig::quick()
-        };
-        let builder = Pipeline::new(config).run().expect("study");
-        let legacy = run_study(config);
-        assert_eq!(legacy.dataset.weeks.len(), builder.dataset.weeks.len());
-        for (a, b) in legacy.dataset.weeks.iter().zip(&builder.dataset.weeks) {
-            assert_eq!(a.pages, b.pages);
-            assert_eq!(a.summaries, b.summaries);
-        }
-        let legacy = run_study_with(config, &Telemetry::new());
         assert_eq!(
-            legacy.collection.points.len(),
-            builder.collection.points.len()
+            std::fs::read(&plain_store).expect("untraced store"),
+            std::fs::read(traced_store(1)).expect("traced store")
         );
+        let _ = std::fs::remove_file(&plain_store);
+        for threads in [1, 2, 8] {
+            let _ = std::fs::remove_file(traced_store(threads));
+        }
     }
 }

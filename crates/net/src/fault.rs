@@ -21,6 +21,8 @@
 //! No RNG state anywhere — a crawl is reproducible regardless of
 //! worker-thread interleaving.
 
+use webvuln_resilience::mix;
+
 /// Per-crawl fault configuration. Probabilities are in permille (‰).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -154,19 +156,6 @@ impl FaultPlan {
         let seed = self.seed ^ salt ^ (week as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (mix(seed, host) % 1000) < permille as u64
     }
-}
-
-/// SplitMix64-style hash of `(seed, text)`.
-pub fn mix(seed: u64, text: &str) -> u64 {
-    let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 27;
-    }
-    h ^= h >> 31;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 29)
 }
 
 #[cfg(test)]

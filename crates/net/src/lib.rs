@@ -54,14 +54,12 @@ mod server;
 mod transport;
 
 pub use client::{fetch, fetch_once, fetch_with_redirects, MAX_REDIRECTS};
-#[allow(deprecated)]
-pub use crawler::{crawl, crawl_instrumented, crawl_resilient};
 pub use crawler::{
     fetch_domain, fetch_domain_with_retry, record_exec_stats, CrawlConfig, CrawlOptions,
     FetchRecord, FAILPOINTS,
 };
 pub use error::{ErrorClass, NetError, Result};
-pub use fault::{mix, FaultPlan};
+pub use fault::FaultPlan;
 pub use filter::{
     inaccessible_domains, page_is_error_or_empty, FetchSummary, EMPTY_PAGE_THRESHOLD,
 };
@@ -73,5 +71,5 @@ pub use server::{
 pub use transport::{mem_pipe, ByteStream, MemStream};
 pub use webvuln_exec::{ExecStats, Executor, FailureKind, SuperviseConfig, TaskFailure};
 pub use webvuln_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, HostBreakers, RetryPolicy, VirtualClock,
+    mix, BreakerConfig, BreakerState, CircuitBreaker, HostBreakers, RetryPolicy, VirtualClock,
 };

@@ -59,9 +59,9 @@ pub use clock::VirtualClock;
 pub use retry::RetryPolicy;
 
 /// SplitMix64-style hash of `(seed, text)` — the crate's only source of
-/// "randomness". Identical to the mixer used by `webvuln-net`'s fault
-/// injector, duplicated here so the crate stays dependency-free.
-pub(crate) fn mix(seed: u64, text: &str) -> u64 {
+/// "randomness", shared with `webvuln-net`'s fault injector so retry
+/// jitter and injected faults draw from one mixer.
+pub fn mix(seed: u64, text: &str) -> u64 {
     let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
     for &b in text.as_bytes() {
         h ^= b as u64;

@@ -146,6 +146,10 @@ pub struct ShardedStoreWriter {
     threads: usize,
 }
 
+/// One shard's slice of a group week, taken exactly once by the pool
+/// worker that commits it.
+type ShardJob<'w> = Mutex<Option<(usize, &'w mut StoreWriter, WeekData)>>;
+
 impl ShardedStoreWriter {
     /// Creates (replacing any previous group) a sharded store under
     /// `dir` with `shards` shard files.
@@ -301,7 +305,7 @@ impl ShardedStoreWriter {
             });
         }
         let parts = split_week(week, self.writers.len());
-        let jobs: Vec<Mutex<Option<(usize, &mut StoreWriter, WeekData)>>> = self
+        let jobs: Vec<ShardJob<'_>> = self
             .writers
             .iter_mut()
             .zip(parts)

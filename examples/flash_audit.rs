@@ -9,9 +9,9 @@
 //! ecosystem that keeps Flash alive (Table 3).
 
 use std::sync::Arc;
-use webvuln::analysis::dataset::Collector;
+use webvuln::analysis::dataset::{CollectConfig, Dataset};
 use webvuln::analysis::flash::{flash_eol, flash_usage, script_access_audit};
-use webvuln::core::render_table3;
+use webvuln::core::{render_table3, Telemetry};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn main() {
@@ -25,7 +25,10 @@ fn main() {
         domain_count: domains,
         timeline: Timeline::paper(),
     }));
-    let data = Collector::new().run(&eco).expect("collection").dataset;
+    // The §8 analyses read the whole timeline at once, so the audit
+    // collects the in-memory dataset directly.
+    let data =
+        Dataset::collect(&eco, CollectConfig::default(), &Telemetry::new()).expect("collection");
 
     let usage = flash_usage(&data);
     println!("Figure 8 — Flash usage over the study");

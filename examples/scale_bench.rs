@@ -4,15 +4,16 @@
 //!
 //! - **shards**: 10k domains × 4 weeks committed to 1/4/16 shards
 //!   (one store writer per shard on the exec pool);
-//! - **domains**: 1k/10k/100k domains, streaming vs materialized —
-//!   both axes carry O(domains) state (the ecosystem, one in-flight
-//!   week, the per-site accumulator maps), so this sweep reports the
-//!   absolute cost of scale rather than gating on it;
+//! - **domains**: 1k/10k/100k domains, the streaming study vs the
+//!   materialized in-memory reference (`Dataset::collect` plus
+//!   `analyze`, no store) — both carry O(domains) state (the ecosystem,
+//!   one in-flight week, the per-site accumulator maps), so this sweep
+//!   reports the absolute cost of scale rather than gating on it;
 //! - **weeks**: 10k domains × 4/16/32 weeks, streaming vs
 //!   materialized. This is the longitudinal axis the paper scales on
-//!   (201 weekly snapshots), and the one the streaming redesign makes
-//!   flat: peak RSS holds one in-flight week plus the accumulators,
-//!   independent of how many weeks the study spans.
+//!   (201 weekly snapshots), and the one streaming makes flat: peak RSS
+//!   holds one in-flight week plus the accumulators, independent of how
+//!   many weeks the study spans.
 //!
 //! The flat-RSS gate asserted here: streaming peak RSS at 16 weeks is
 //! within 1.25× of 4 weeks (4× the data; ~1.07× measured), and the
@@ -29,12 +30,15 @@
 //! Run: `cargo run --release --example scale_bench`. Output is the
 //! `BENCH_scale.json` document on stdout; the `domains_per_sec` figure
 //! counts domain-week snapshots collected, committed, and analyzed per
-//! wall-clock second. `--smoke` runs the CI-sized subset (10k domains,
+//! wall-clock second; materialized points commit no store and report
+//! `store_bytes` 0. `--smoke` runs the CI-sized subset (10k domains,
 //! 4 vs 16 weeks) and asserts the gate.
 
+use std::sync::Arc;
 use std::time::Instant;
-use webvuln::core::{Pipeline, StudyConfig};
-use webvuln::webgen::Timeline;
+use webvuln::analysis::Dataset;
+use webvuln::core::{analyze, Pipeline, StudyConfig, Telemetry};
+use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 const SEED: u64 = 907;
 const THREADS: usize = 8;
@@ -70,13 +74,6 @@ fn run_one(
     weeks: usize,
     streaming: bool,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join(format!(
-        "webvuln-scale-{shards}-{domains}-{weeks}-{streaming}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(&dir);
-
     let config = StudyConfig {
         seed: SEED,
         domain_count: domains,
@@ -84,23 +81,46 @@ fn run_one(
         concurrency: THREADS,
         ..StudyConfig::default()
     };
-    let start = Instant::now();
-    let results = Pipeline::new(config)
-        .shards(shards)
-        .checkpoint(&dir)
-        .streaming(streaming)
-        .run()?;
-    let elapsed = start.elapsed();
-
-    assert_eq!(results.collection.points.len(), weeks);
-    let store_bytes: u64 = if dir.is_dir() {
-        std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok()?.metadata().ok())
-            .map(|m| m.len())
-            .sum()
+    let (points, elapsed, store_bytes) = if streaming {
+        let dir = std::env::temp_dir().join(format!(
+            "webvuln-scale-{shards}-{domains}-{weeks}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&dir);
+        let start = Instant::now();
+        let results = Pipeline::new(config)
+            .shards(shards)
+            .checkpoint(&dir)
+            .run()?;
+        let elapsed = start.elapsed();
+        let store_bytes: u64 = if dir.is_dir() {
+            let bytes = std::fs::read_dir(&dir)?
+                .filter_map(|e| e.ok()?.metadata().ok())
+                .map(|m| m.len())
+                .sum();
+            std::fs::remove_dir_all(&dir)?;
+            bytes
+        } else {
+            let bytes = std::fs::metadata(&dir)?.len();
+            std::fs::remove_file(&dir)?;
+            bytes
+        };
+        (results.collection.points.len(), elapsed, store_bytes)
     } else {
-        std::fs::metadata(&dir)?.len()
+        // The in-memory reference holds the whole timeline at once.
+        let start = Instant::now();
+        let ecosystem = Arc::new(Ecosystem::generate(EcosystemConfig {
+            seed: config.seed,
+            domain_count: config.domain_count,
+            timeline: config.timeline,
+        }));
+        let dataset = Dataset::collect(&ecosystem, config.collect_config(), &Telemetry::new())?;
+        let results = analyze(config, &dataset);
+        (results.collection.points.len(), start.elapsed(), 0)
     };
+
+    assert_eq!(points, weeks);
     println!(
         "shards={shards} domains={domains} weeks={weeks} streaming={} \
          elapsed_ns={} peak_rss_kb={} store_bytes={store_bytes}",
@@ -108,11 +128,6 @@ fn run_one(
         elapsed.as_nanos(),
         peak_rss_kb()
     );
-    if dir.is_dir() {
-        std::fs::remove_dir_all(&dir)?;
-    } else {
-        std::fs::remove_file(&dir)?;
-    }
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! webvuln study   [--domains N] [--weeks N] [--seed N] [--threads N] [--csv DIR]
 //!                 [--retries N] [--fault-profile none|realistic|hostile]
-//!                 [--carry-forward] [--store PATH [--resume] [--shards N] [--streaming]]
+//!                 [--carry-forward] [--store PATH [--resume]] [--shards N]
 //!                 [--progress] [--max-task-failures N] [--telemetry [FILE]]
 //!                 [--trace FILE]
 //! webvuln validate [REPORT_ID]
@@ -57,7 +57,7 @@ fn print_help() {
 USAGE:
   webvuln study    [--domains N] [--weeks N] [--seed N] [--threads N] [--csv DIR]
                    [--retries N] [--fault-profile none|realistic|hostile]
-                   [--carry-forward] [--store PATH [--resume] [--shards N] [--streaming]]
+                   [--carry-forward] [--store PATH [--resume]] [--shards N]
                    [--progress] [--max-task-failures N] [--telemetry [FILE]]
                    [--trace FILE]
                    run the full study and print every table/figure
@@ -119,17 +119,18 @@ FLAGS:
   --carry-forward    when a domain stays down for a whole week, reuse its
                      last usable snapshot (flagged carried_forward)
   --progress         report per-week progress on stderr
-  --store PATH       commit each crawled week to a binary snapshot store
+  --store PATH       keep the binary snapshot store the study commits
+                     each crawled week to (without it, the study uses a
+                     private temp store and removes it on exit); every
+                     study drops each week after its commit and folds the
+                     store back through mergeable accumulators, so peak
+                     memory is one week plus the accumulator state
   --resume           with --store: restore committed weeks instead of
                      recrawling them (tolerates a torn tail after a crash)
-  --shards N         with --store: split the store into N shard files
-                     keyed by domain hash, committed in parallel and
-                     published atomically per week by a manifest rename;
-                     results are byte-identical for every shard count
-  --streaming        with --store: drop each week after its commit and
-                     stream the finalized store back through mergeable
-                     accumulators — peak memory is one week plus the
-                     accumulator state, the report is byte-identical
+  --shards N         split the store into N shard files keyed by domain
+                     hash, committed in parallel and published atomically
+                     per week by a manifest rename; results are
+                     byte-identical for every shard count
   --max-task-failures N
                      run crawl/fingerprint tasks under supervision: a
                      panicking or over-deadline task quarantines its
@@ -211,17 +212,12 @@ fn cmd_study(args: &[String]) {
     if let Some(budget) = flag(args, "--max-task-failures").and_then(|v| v.parse().ok()) {
         pipeline = pipeline.max_task_failures(budget);
     }
+    pipeline = pipeline.shards(flag_usize(args, "--shards", 1));
     let store = flag(args, "--store").map(std::path::PathBuf::from);
-    let streaming = args.iter().any(|a| a == "--streaming");
     if let Some(path) = &store {
         pipeline = pipeline
             .checkpoint(path)
-            .resume(args.iter().any(|a| a == "--resume"))
-            .shards(flag_usize(args, "--shards", 1))
-            .streaming(streaming);
-    } else if streaming {
-        eprintln!("study: --streaming needs --store PATH (the store is the buffer)");
-        std::process::exit(2);
+            .resume(args.iter().any(|a| a == "--resume"));
     }
     let trace_out = flag(args, "--trace");
     if trace_out.is_some() {

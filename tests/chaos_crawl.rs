@@ -8,10 +8,11 @@
 //! same dataset as an uninterrupted run.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use webvuln::analysis::dataset::{CollectConfig, Collector};
 use webvuln::analysis::Dataset;
-use webvuln::core::{full_report, Pipeline, StudyConfig, Telemetry};
+use webvuln::core::{analyze, full_report, Pipeline, StudyConfig, Telemetry};
 use webvuln::net::{
     BreakerConfig, CrawlOptions, FaultPlan, Request, Response, RetryPolicy, VirtualClock,
     VirtualNet,
@@ -27,18 +28,26 @@ fn ecosystem(seed: u64, domains: usize, weeks: usize) -> Arc<Ecosystem> {
 }
 
 fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
-    Collector::from_config(config)
-        .run(eco)
-        .expect("collection")
-        .dataset
+    collect_with(eco, config, &Telemetry::new())
 }
 
+/// Collects through the checkpointed collector and reads back what it
+/// committed.
 fn collect_with(eco: &Arc<Ecosystem>, config: CollectConfig, telemetry: &Telemetry) -> Dataset {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-chaos-collect-{}-{}.wvstore",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     Collector::from_config(config)
         .telemetry(telemetry)
+        .checkpoint(&store)
         .run(eco)
-        .expect("collection")
-        .dataset
+        .expect("collection");
+    let dataset = Dataset::load_store(&store).expect("load collected store");
+    let _ = std::fs::remove_file(&store);
+    dataset
 }
 
 fn usable_pages(dataset: &Dataset) -> Vec<BTreeSet<String>> {
@@ -217,9 +226,11 @@ fn store_resumes_cleanly_mid_retry_storm() {
         ..StudyConfig::default()
     };
     let analysis_part = |report: &str| report.split("Run telemetry").next().unwrap().to_string();
-    let baseline = analysis_part(&full_report(
-        &Pipeline::new(config).run().expect("baseline"),
-    ));
+    // The in-memory reference: the whole dataset collected, then analysed.
+    let eco = ecosystem(config.seed, config.domain_count, config.timeline.weeks);
+    let reference = Dataset::collect(&eco, config.collect_config(), &Telemetry::new())
+        .expect("reference collection");
+    let baseline = analysis_part(&full_report(&analyze(config, &reference)));
 
     let store = std::env::temp_dir().join(format!(
         "webvuln-chaos-resume-{}.wvstore",
@@ -280,13 +291,14 @@ fn study_is_byte_identical_across_threads() {
             .run()
             .expect("study");
         let bytes = std::fs::read(&store).expect("read store");
+        let dataset = Dataset::load_store(&store).expect("load store");
         let _ = std::fs::remove_file(&store);
-        (results, bytes)
+        (results, bytes, dataset)
     };
-    let (one, store_one) = run(1);
+    let (one, store_one, data_one) = run(1);
     let report_one = analysis_part(&full_report(&one));
     for threads in [2, 8] {
-        let (many, store_many) = run(threads);
+        let (many, store_many, data_many) = run(threads);
         assert_eq!(
             store_one, store_many,
             "store bytes differ at {threads} threads"
@@ -296,9 +308,9 @@ fn study_is_byte_identical_across_threads() {
             analysis_part(&full_report(&many)),
             "analysis report differs at {threads} threads"
         );
-        assert_eq!(one.dataset.ranks, many.dataset.ranks);
-        assert_eq!(one.dataset.filtered_out, many.dataset.filtered_out);
-        for (a, b) in one.dataset.weeks.iter().zip(&many.dataset.weeks) {
+        assert_eq!(data_one.ranks, data_many.ranks);
+        assert_eq!(data_one.filtered_out, data_many.filtered_out);
+        for (a, b) in data_one.weeks.iter().zip(&data_many.weeks) {
             assert_eq!(a.pages, b.pages, "week {} at {threads} threads", a.week);
             assert_eq!(a.summaries, b.summaries);
             assert_eq!(a.carried_forward, b.carried_forward);

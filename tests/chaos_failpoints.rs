@@ -16,12 +16,16 @@
 //! exhaustive. A further group pins the supervision contract: a
 //! panicking domain is quarantined — not fatal — at 1, 2, and 8 threads
 //! with identical output bytes, and the `--max-task-failures` budget
-//! turns sustained failure into a structured error.
+//! turns sustained failure into a structured error. A study run without
+//! a checkpoint store commits to a private temp store that is gone once
+//! the run returns, whether it succeeded or failed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use webvuln::core::{failpoint_catalog, full_report, Pipeline, StudyConfig, StudyResults};
+use std::sync::{Arc, Mutex};
+use webvuln::core::{
+    failpoint_catalog, full_report, Pipeline, StudyConfig, StudyResults, Telemetry,
+};
 use webvuln::failpoint::{arm_key, arm_nth, disarm, reset, Action};
 use webvuln::net::{FaultPlan, RetryPolicy, SuperviseConfig};
 use webvuln::store::{scrub, AnyReader, ScrubOutcome, StoreError};
@@ -93,6 +97,20 @@ fn live_dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     dir_bytes(dir)
         .into_iter()
         .filter(|(name, _)| name == "MANIFEST" || name.ends_with(".wvstore"))
+        .collect()
+}
+
+/// The private temp stores of storeless studies in this process (see
+/// `Pipeline::checkpoint`). Every test here holds [`lock`], so no other
+/// study runs while one is counted.
+fn temp_study_stores() -> Vec<String> {
+    let prefix = format!("webvuln-study-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("read temp dir")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().to_string_lossy().into_owned();
+            name.starts_with(&prefix).then_some(name)
+        })
         .collect()
 }
 
@@ -569,6 +587,10 @@ fn exhausted_failure_budget_is_a_structured_error() {
         .max_task_failures(1)
         .run();
     disarm("crawl.fetch");
+    assert!(
+        temp_study_stores().is_empty(),
+        "a failed storeless study must remove its temp store"
+    );
     let message = match outcome {
         Ok(_) => panic!("budget of 1 must not survive 3 quarantines"),
         Err(e) => e.to_string(),
@@ -580,5 +602,49 @@ fn exhausted_failure_budget_is_a_structured_error() {
     assert!(
         message.contains("(budget 1)"),
         "unexpected error: {message}"
+    );
+}
+
+/// A study without a checkpoint runs through a private temp store: it
+/// renders the same report as a checkpointed run, the store exists while
+/// the study collects, and nothing of it is left once the run returns.
+#[test]
+fn a_storeless_study_matches_a_checkpointed_run_and_leaves_no_temp_store() {
+    let _guard = lock();
+    reset();
+    let seed = 7_303;
+    let checkpoint = temp_store("storeless-reference");
+    let checkpointed = Pipeline::new(config(seed, 2))
+        .checkpoint(&checkpoint)
+        .run()
+        .expect("checkpointed study");
+    let _ = std::fs::remove_file(&checkpoint);
+
+    assert!(
+        temp_study_stores().is_empty(),
+        "no temp store before the run"
+    );
+    let seen_during_run = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&seen_during_run);
+    let telemetry = Telemetry::new().with_progress(Arc::new(
+        move |_event: &webvuln::telemetry::ProgressEvent<'_>| {
+            seen.lock()
+                .expect("seen lock")
+                .push(temp_study_stores().len());
+        },
+    ));
+    let storeless = Pipeline::new(config(seed, 2))
+        .telemetry(&telemetry)
+        .run()
+        .expect("storeless study");
+    assert_eq!(analysis_part(&storeless), analysis_part(&checkpointed));
+    let seen = seen_during_run.lock().expect("seen lock").clone();
+    // One generate event, then one crawl event per week: each weekly
+    // event sees exactly the one temp store being committed to.
+    assert_eq!(seen.len(), 1 + WEEKS, "{seen:?}");
+    assert!(seen[1..].iter().all(|&n| n == 1), "{seen:?}");
+    assert!(
+        temp_study_stores().is_empty(),
+        "a finished storeless study must remove its temp store"
     );
 }

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use webvuln::core::{Pipeline, StudyConfig, StudyResults};
 use webvuln::cvedb::{Accuracy, Date, LibraryId};
 use webvuln::net::FaultPlan;
-use webvuln::webgen::Timeline;
+use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn study() -> &'static StudyResults {
     static RESULTS: OnceLock<StudyResults> = OnceLock::new();
@@ -163,13 +163,19 @@ fn s64_high_profile_sites_run_understated_versions() {
     // microsoft.example (rank 46) and docusign.example (rank 1693) are
     // reproduced when the population is large enough; at 900 domains only
     // microsoft.example exists.
+    // Ranks are 1-based positions in the study's domain list.
     let r = study();
-    let found = r
-        .dataset
-        .ranks
-        .iter()
-        .any(|(d, &rank)| d == "microsoft.example" && rank == 46);
-    assert!(found, "case-study domain present at the paper's rank");
+    let names = Ecosystem::generate(EcosystemConfig {
+        seed: r.config.seed,
+        domain_count: r.config.domain_count,
+        timeline: r.config.timeline,
+    })
+    .domain_names();
+    assert_eq!(
+        names.get(45).map(String::as_str),
+        Some("microsoft.example"),
+        "case-study domain present at the paper's rank"
+    );
 }
 
 #[test]

@@ -5,17 +5,29 @@
 //! identical fingerprints — the property that makes the fast simulation
 //! path a valid stand-in for the socket path.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use webvuln::analysis::dataset::{CollectConfig, Collector, Dataset};
 use webvuln::fingerprint::Engine;
 use webvuln::net::{CrawlOptions, FaultPlan, TcpConnector, TcpServer, VirtualNet};
 use webvuln::webgen::{Ecosystem, EcosystemConfig, PageOutcome, Timeline};
 
+/// Collects through the checkpointed collector and reads back what it
+/// committed.
 fn collect(eco: &Arc<Ecosystem>, config: CollectConfig) -> Dataset {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-pipeline-{}-{}.wvstore",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     Collector::from_config(config)
+        .checkpoint(&store)
         .run(eco)
-        .expect("collection")
-        .dataset
+        .expect("collection");
+    let dataset = Dataset::load_store(&store).expect("load collected store");
+    let _ = std::fs::remove_file(&store);
+    dataset
 }
 
 fn ecosystem(domains: usize, weeks: usize) -> Arc<Ecosystem> {

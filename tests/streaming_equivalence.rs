@@ -1,16 +1,21 @@
-//! Streaming vs materialized equivalence: the paper-scale streaming
-//! pipeline (each week committed to the store and dropped, analyses
-//! folded over the store by mergeable accumulators) must render the
-//! byte-identical report and commit the byte-identical store, whatever
-//! the thread or shard count — even under the hostile fault profile.
+//! Store-backed study vs in-memory reference: every study commits each
+//! week to its store, drops it, and folds the store back through the
+//! mergeable accumulators. The rendered report must match the in-memory
+//! reference — [`Dataset::collect`] holding the whole timeline, analysed
+//! by [`analyze`] — byte for byte, and the store must decode to the
+//! reference's weeks, whatever the thread or shard count, even under the
+//! hostile fault profile with carry-forward.
 //!
 //! The merge-level invariants (associativity, `Default` as identity)
 //! are pinned by unit tests in `webvuln_analysis::accum`; this suite
 //! pins the end-to-end contract.
 
-use webvuln::core::{full_report, Pipeline, StudyConfig, StudyResults};
+use std::path::Path;
+use std::sync::{Arc, OnceLock};
+use webvuln::analysis::Dataset;
+use webvuln::core::{analyze, full_report, Pipeline, StudyConfig, StudyResults, Telemetry};
 use webvuln::net::FaultPlan;
-use webvuln::webgen::Timeline;
+use webvuln::webgen::{Ecosystem, EcosystemConfig, Timeline};
 
 fn config() -> StudyConfig {
     StudyConfig {
@@ -40,90 +45,92 @@ fn report_prefix(results: &StudyResults) -> String {
         .to_string()
 }
 
+struct Reference {
+    dataset: Dataset,
+    report: String,
+}
+
+/// The in-memory reference run, collected once per test binary.
+fn reference() -> &'static Reference {
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let config = config();
+        let ecosystem = Arc::new(Ecosystem::generate(EcosystemConfig {
+            seed: config.seed,
+            domain_count: config.domain_count,
+            timeline: config.timeline,
+        }));
+        let dataset = Dataset::collect(&ecosystem, config.collect_config(), &Telemetry::new())
+            .expect("reference collection");
+        let report = report_prefix(&analyze(config, &dataset));
+        assert!(!dataset.weeks.is_empty(), "reference holds every week");
+        Reference { dataset, report }
+    })
+}
+
+/// The committed store decodes to the reference's filtered weeks.
+fn assert_store_matches_reference(store: &Path, label: &str) {
+    let reference = &reference().dataset;
+    let restored = Dataset::load_store(store).expect("load");
+    assert_eq!(restored.ranks, reference.ranks, "{label}");
+    assert_eq!(restored.filtered_out, reference.filtered_out, "{label}");
+    assert_eq!(restored.weeks.len(), reference.weeks.len(), "{label}");
+    for (a, b) in restored.weeks.iter().zip(&reference.weeks) {
+        assert_eq!(a.pages, b.pages, "{label} week {}", a.week);
+        assert_eq!(a.summaries, b.summaries, "{label} week {}", a.week);
+        assert_eq!(
+            a.carried_forward, b.carried_forward,
+            "{label} week {}",
+            a.week
+        );
+    }
+}
+
 #[test]
 fn streaming_report_and_store_are_byte_identical_across_threads() {
-    let batch_store = temp("batch.wvstore");
-    let reference = Pipeline::new(config())
-        .threads(2)
-        .checkpoint(&batch_store)
-        .run()
-        .expect("materialized");
-    let reference_report = report_prefix(&reference);
-    let reference_bytes = std::fs::read(&batch_store).expect("batch store");
-    assert!(!reference.dataset.weeks.is_empty(), "materialized run");
+    let mut first_bytes: Option<Vec<u8>> = None;
     for threads in [1, 2, 8] {
         let store = temp(&format!("t{threads}.wvstore"));
         let results = Pipeline::new(config())
             .threads(threads)
             .checkpoint(&store)
-            .streaming(true)
             .run()
-            .expect("streaming");
-        assert!(results.dataset.weeks.is_empty(), "streaming shell");
-        assert_eq!(
-            results.dataset.filtered_out, reference.dataset.filtered_out,
-            "threads={threads}"
-        );
+            .expect("study");
         assert_eq!(
             report_prefix(&results),
-            reference_report,
+            reference().report,
             "threads={threads}"
         );
-        assert_eq!(
-            std::fs::read(&store).expect("streamed store"),
-            reference_bytes,
-            "threads={threads}"
-        );
+        assert_store_matches_reference(&store, &format!("threads={threads}"));
+        let bytes = std::fs::read(&store).expect("store bytes");
+        match &first_bytes {
+            None => first_bytes = Some(bytes),
+            Some(first) => assert_eq!(&bytes, first, "threads={threads}"),
+        }
         let _ = std::fs::remove_file(&store);
     }
-    let _ = std::fs::remove_file(&batch_store);
 }
 
 #[test]
 fn streaming_report_is_byte_identical_across_shard_counts() {
-    let reference = Pipeline::new(config())
-        .threads(2)
-        .run()
-        .expect("materialized");
-    let reference_report = report_prefix(&reference);
     for shards in [1, 4, 16] {
         let store = temp(&format!("s{shards}"));
         let results = Pipeline::new(config())
             .threads(8)
             .shards(shards)
             .checkpoint(&store)
-            .streaming(true)
             .run()
-            .expect("streaming");
-        assert!(results.dataset.weeks.is_empty(), "streaming shell");
-        assert_eq!(report_prefix(&results), reference_report, "shards={shards}");
-        // The committed store materializes back to the reference run's
-        // dataset — the streaming path never saw it whole.
-        let restored = webvuln::analysis::Dataset::load_store(&store).expect("load");
-        assert_eq!(restored.filtered_out, reference.dataset.filtered_out);
-        assert_eq!(restored.weeks.len(), reference.dataset.weeks.len());
-        for (a, b) in restored.weeks.iter().zip(&reference.dataset.weeks) {
-            assert_eq!(a.pages, b.pages, "shards={shards} week {}", a.week);
-            assert_eq!(a.summaries, b.summaries, "shards={shards} week {}", a.week);
-            assert_eq!(
-                a.carried_forward, b.carried_forward,
-                "shards={shards} week {}",
-                a.week
-            );
-        }
+            .expect("study");
+        assert_eq!(
+            report_prefix(&results),
+            reference().report,
+            "shards={shards}"
+        );
+        assert_store_matches_reference(&store, &format!("shards={shards}"));
         if shards == 1 {
             let _ = std::fs::remove_file(&store);
         } else {
             let _ = std::fs::remove_dir_all(&store);
         }
     }
-}
-
-#[test]
-fn streaming_without_a_store_is_rejected() {
-    let err = match Pipeline::new(config()).streaming(true).run() {
-        Ok(_) => panic!("streaming without a store must be rejected"),
-        Err(err) => err,
-    };
-    assert!(err.to_string().contains("checkpoint store"), "{err}");
 }

@@ -3,7 +3,7 @@
 //! actually did, and a study run must time every phase.
 
 use std::sync::Arc;
-use webvuln::analysis::dataset::{CollectConfig, Collector};
+use webvuln::analysis::dataset::{CollectConfig, Collector, Dataset};
 use webvuln::core::{telemetry_json, Pipeline, StudyConfig};
 use webvuln::net::{CrawlOptions, FaultPlan, VirtualNet};
 use webvuln::net::{Request, Response};
@@ -24,11 +24,17 @@ fn crawler_fetch_count_equals_dataset_page_count() {
     let weeks = 4;
     let eco = ecosystem(domains, weeks);
     let telemetry = Telemetry::new();
-    let dataset = Collector::from_config(CollectConfig::default())
+    let store = std::env::temp_dir().join(format!(
+        "webvuln-telemetry-fetches-{}.wvstore",
+        std::process::id()
+    ));
+    Collector::from_config(CollectConfig::default())
         .telemetry(&telemetry)
+        .checkpoint(&store)
         .run(&eco)
-        .expect("collection")
-        .dataset;
+        .expect("collection");
+    let dataset = Dataset::load_store(&store).expect("load collected store");
+    let _ = std::fs::remove_file(&store);
 
     // Every domain is attempted every week, regardless of filtering.
     let snap = telemetry.snapshot();

@@ -2,16 +2,32 @@
 //! export a byte-identical canonical trace at every thread count, and
 //! every quarantined task failure must carry its flight-recorder tail.
 //!
-//! Tracing is pure observation — the same run untraced produces the
+//! Tracing is pure observation — the same run untraced commits the
 //! same dataset — so these tests also pin the "never changes results"
 //! contract at the full-pipeline level.
 
+use std::path::PathBuf;
 use std::sync::Arc;
+use webvuln::analysis::Dataset;
 use webvuln::core::{full_report, Pipeline, StudyConfig, TraceMode};
 use webvuln::exec::{Executor, SuperviseConfig};
 use webvuln::net::{FaultPlan, RetryPolicy};
 use webvuln::trace::Tracer;
 use webvuln::webgen::Timeline;
+
+fn temp_store(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "webvuln-tracedet-{}-{tag}.wvstore",
+        std::process::id()
+    ))
+}
+
+/// Reads back what a checkpointed study committed, then removes the store.
+fn take_store(store: &PathBuf) -> Dataset {
+    let dataset = Dataset::load_store(store).expect("load study store");
+    let _ = std::fs::remove_file(store);
+    dataset
+}
 
 fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
     Pipeline::new(StudyConfig::quick())
@@ -25,15 +41,21 @@ fn hostile_pipeline(threads: usize) -> Pipeline<'static> {
 #[test]
 fn hostile_traced_study_is_byte_identical_across_thread_counts() {
     let traced = |threads: usize| {
+        let store = temp_store(&format!("t{threads}"));
         let results = hostile_pipeline(threads)
             .trace(TraceMode::Full)
+            .checkpoint(&store)
             .run()
             .expect("study");
-        (results.trace.clone().expect("trace enabled"), results)
+        (
+            results.trace.clone().expect("trace enabled"),
+            results,
+            take_store(&store),
+        )
     };
-    let (t1, r1) = traced(1);
-    let (t2, _) = traced(2);
-    let (t8, r8) = traced(8);
+    let (t1, r1, d1) = traced(1);
+    let (t2, _, _) = traced(2);
+    let (t8, _, d8) = traced(8);
 
     // The canonical event sets — not just summaries — are identical, and
     // so is the exported Chrome trace, byte for byte.
@@ -57,28 +79,32 @@ fn hostile_traced_study_is_byte_identical_across_thread_counts() {
 
     // Observation never changes the observed: the traced datasets agree
     // with each other and the report's cost-centers section is stable.
-    assert_eq!(
-        r1.dataset.weeks.len(),
-        r8.dataset.weeks.len(),
-        "week counts agree"
-    );
+    assert_eq!(d1.weeks.len(), d8.weeks.len(), "week counts agree");
     let report = full_report(&r1);
     assert!(report.contains("Top cost centers"), "{report}");
 }
 
 #[test]
 fn tracing_never_changes_the_dataset() {
-    let traced = hostile_pipeline(2)
+    let traced_store = temp_store("traced");
+    hostile_pipeline(2)
         .trace(TraceMode::Full)
+        .checkpoint(&traced_store)
         .run()
         .expect("traced study");
-    let untraced = hostile_pipeline(2).run().expect("untraced study");
-    assert!(untraced.trace.is_none());
-    for (a, b) in traced.dataset.weeks.iter().zip(&untraced.dataset.weeks) {
+    let traced = take_store(&traced_store);
+    let untraced_store = temp_store("untraced");
+    let results = hostile_pipeline(2)
+        .checkpoint(&untraced_store)
+        .run()
+        .expect("untraced study");
+    let untraced = take_store(&untraced_store);
+    assert!(results.trace.is_none());
+    for (a, b) in traced.weeks.iter().zip(&untraced.weeks) {
         assert_eq!(a.pages, b.pages, "week {} pages diverge", a.week);
         assert_eq!(a.summaries, b.summaries, "week {} summaries", a.week);
     }
-    assert_eq!(traced.dataset.filtered_out, untraced.dataset.filtered_out);
+    assert_eq!(traced.filtered_out, untraced.filtered_out);
 }
 
 #[test]
